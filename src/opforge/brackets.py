@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KindMismatch, NotAssociativeMultiplication
-from .gradedlin import BE, GradedVector, Q
+from .gradedlin import GradedVector, Q
 from .smodules import (StructureInstance, kind_flavor, kind_has_box,
                        kind_has_self, kind_is_odd)
 
@@ -363,14 +363,6 @@ class BvReport:
     failures: list
 
 
-def _scaled_by_parity(x: SumElement, parity_sign) -> SumElement:
-    out = SumElement()
-    for idx, v in x.items():
-        for d, h in _homogeneous_pieces(v):
-            out = out + SumElement.single(idx, h.scale(parity_sign(d)))
-    return out
-
-
 def deviation_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     """(-1)^{|a|} Delta(ab) - (-1)^{|a|} Delta(a) b - a Delta(b)."""
     out = SumElement()
@@ -477,9 +469,3 @@ def internal_mult_differential(o: StructureInstance, mu: GradedVector,
     check_square_zero_multiplication(o, mu)
     return odd_bracket(a, SumElement.single(2, mu), o)
 
-
-def cup_product(o_even: StructureInstance, a: GradedVector, n: int,
-                b: GradedVector, m: int, mu: GradedVector) -> GradedVector:
-    """a . b = (mu o_2 b) o_1 a in the even instance carrying mu."""
-    half = o_even.circ(2, mu, 2, m, b)
-    return o_even.circ(m + 1, half, 1, n, a)

@@ -13,21 +13,19 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import graphs as G
 from . import twists
-from .brackets import (SumElement, cyclic_bracket, lie_bracket, prelie,
+from .brackets import (SumElement, cyclic_bracket, lie_bracket,
                        project_coinvariants)
 from .errors import ForgeError, InputError
 from .gradedlin import BE, GradedVector, Q
 from .smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp, ModularE,
-                       TableInstance, check_axioms, dump_instance)
+                       TableInstance, check_axioms)
 from .transform import (DgInstance, FeynmanTransform, MasterSeries,
                         MorphismChecker, build_master_carrier,
                         certify_dg_algebra, free_construct,
-                        master_lhs_components, random_series,
-                        trivial_modular_generator)
+                        master_lhs_components, trivial_modular_generator)
 
 PASS, FAIL, BADINPUT = 0, 1, 2
 
@@ -50,10 +48,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _fraction_str(x) -> str:
-    q = Q(x)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
-        else str(q.numerator)
+def _load_graph(path: str | None) -> G.Graph:
+    if path is None:
+        raise InputError("--in is required")
+    data = _load_json(path)
+    try:
+        return G.Graph.from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"malformed graph in {path}: {exc!r}")
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -124,13 +126,13 @@ def cmd_graphs(args) -> int:
         _emit(report, args.format)
         return PASS
     if args.action == "canon":
-        g = G.Graph.from_json(_load_json(args.infile))
+        g = _load_graph(args.infile)
         canon, relabel = G.canonical_form(g)
         _emit({"check": "graphs-canon", "graph": canon.to_json(),
                "relabel": relabel, "status": "ok"}, args.format)
         return PASS
     if args.action == "auto":
-        g = G.Graph.from_json(_load_json(args.infile))
+        g = _load_graph(args.infile)
         auts = G.automorphisms(g)
         _emit({"check": "graphs-automorphisms", "order": len(auts),
                "elements": [{"vertices": v, "flags": f} for v, f in auts],
@@ -142,11 +144,11 @@ def cmd_graphs(args) -> int:
 def cmd_twist(args) -> int:
     if args.action == "eval":
         cocycle = twists.parse_twist(args.expr)
-        g = G.Graph.from_json(_load_json(args.infile))
+        g = _load_graph(args.infile)
         line = cocycle.line(g)
         chars = {}
         for vmap, fmap in G.automorphisms(g):
-            key = json.dumps(sorted(vmap.items()))
+            key = json.dumps([sorted(vmap.items()), sorted(fmap.items())])
             chars[key] = line.char(vmap, fmap)
         _emit({"check": "twist-eval", "expr": args.expr,
                "degree": line.degree, "characters": chars,
@@ -343,13 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verifier for operad-like structures")
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="reserved; checks run in deterministic order")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("graphs")
     g.add_argument("action", choices=("enumerate", "canon", "auto"))
-    g.add_argument("--class", dest="graph_class", default="stable")
+    g.add_argument("--class", dest="graph_class", default="stable",
+                   choices=("stable",) + G.GRAPH_CLASSES)
     g.add_argument("--g", type=int, default=None)
     g.add_argument("--labels", type=int, default=0)
     g.add_argument("--max-edges", type=int, default=1)

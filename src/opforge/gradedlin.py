@@ -449,7 +449,3 @@ def coords_in_span(basis: Sequence[Mapping], target: Mapping) -> list[Fraction] 
 def in_span(vectors: Sequence[Mapping], target: Mapping) -> bool:
     return coords_in_span(vectors, target) is not None
 
-
-def vector_terms(v: GradedVector) -> dict:
-    """View a GradedVector as a plain mapping for the linear algebra helpers."""
-    return dict(v.terms)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
-from .errors import (ClassMismatch, MissingDecoration, NotAnEdge, NotATail,
-                     NotConnected)
+from .errors import MissingDecoration, NotAnEdge, NotATail, NotConnected
 
 GRAPH_CLASSES = (
     "rooted-tree", "planar-rooted-tree", "tree", "planar-tree",

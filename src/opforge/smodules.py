@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (DegenerateForm, FlavorMismatch, KindMismatch,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, ONE, ZERO, GradedVector, GroupAction, Perm, Q,
-                        all_perms, compose, identity_perm, invert, koszul_sign,
-                        long_cycle, perm_sign, permute_factors, rank_of)
+                        all_perms, invert, koszul_sign, long_cycle, perm_sign,
+                        permute_factors, rank_of)
 
 # --------------------------------------------------------------------------
 # kinds
@@ -1167,10 +1167,6 @@ def block_insert(sigma: Perm, i: int, tau: Perm) -> Perm:
             kk = tau[k] if j == i0 else k
             out[src_off[j] + k] = tgt_off[j] + kk
     return tuple(out)
-
-
-def _deg(x: BE) -> int:
-    return x.degree
 
 
 def check_axioms(o: StructureInstance, max_arity: int = 3,

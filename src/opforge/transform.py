@@ -13,21 +13,19 @@ generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import graphs as G
-from .brackets import (SumElement, boxminus, cyclic_bracket, delta,
-                       project_coinvariants)
-from .errors import (ClassMismatch, DegreeError, FlavorMismatch, KindMismatch,
-                     NonInvertibleTwist, TruncationExceeded, UnsupportedKind)
+from .brackets import SumElement, cyclic_bracket, delta
+from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
+                     TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
-                        coords_in_span, invert, koszul_sign, perm_sign,
-                        permute_factors, rank_of, wedge_extract,
-                        wedge_reorder_sign)
-from .smodules import (SModule, StructureInstance, contract_word, kind_flavor,
-                       kind_has_box, kind_is_odd, local_flag_order,
-                       local_index)
+                        coords_in_span, invert, koszul_sign, permute_factors,
+                        rank_of, wedge_reorder_sign)
+from .smodules import (StructureInstance, contract_word, decorate,
+                       kind_flavor, kind_has_box, kind_is_odd,
+                       local_flag_order, local_index, rotation_order,
+                       rotation_order2)
 
 
 class GeneratorInstance(StructureInstance):
@@ -132,18 +130,11 @@ class FreeTwisted(StructureInstance):
         return G.enumerate_graphs(cls, sig, self.max_edges,
                                   vertex_ok=vertex_ok)
 
-    def _decorate(self, graph):
-        from .smodules import decorate
-        return decorate(self._gen_view(), graph)
-
-    def _gen_view(self):
-        return self.gen
-
     def _block(self, idx, graph) -> _GraphBlock:
         key = graph.canonical_key()
         if key in self._by_key:
             return self._by_key[key]
-        basis, aut, vorder = self._decorate(graph)
+        basis, aut, vorder = decorate(self.gen, graph)
         twist_char = self._twist_char(graph)
         # average with the twist character folded in
         inv_vectors = []
@@ -225,212 +216,118 @@ class FreeTwisted(StructureInstance):
 
     # -- raw gluing ----------------------------------------------------------
 
-    def _dec_factors(self, graph, dec_be: BE):
-        return tuple(BE(i, d) for i, d in dec_be.ident[1])
+    def _glue(self, ridx, glued, pieces, new_edge=None) -> GradedVector:
+        """The pipeline shared by every gluing and by the S_n action.
 
-    def _transport(self, old_graph, old_dec: BE, new_graph, vmap, fmap,
-                   relabel):
-        """Move a decoration into (part of) a canonicalized graph.
-
-        vmap/fmap send old ids to intermediate ids, relabel sends the
-        intermediate ids to the canonical new graph.  Factors stay in the
-        old vertex order; returns (new vertex names, [(coeff, factors)]).
-        The interleave into canonical vertex order is done by _merge_dec.
+        `glued` was built from the graphs of the pieces, each given as
+        (block, raw vector, vmap, fmap): vmap/fmap send the block graph's
+        vertex/flag ids to those of `glued` (None: unchanged).  `new_edge`
+        is the edge the gluing created, as two flags of `glued`.  The result
+        is canonicalized, every decoration is transported onto it and merged
+        with the edge-word and Koszul signs, and the sum is projected into
+        the invariant basis of its block in component `ridx`.
         """
+        if len(glued.edges()) > self.max_edges:
+            raise TruncationExceeded("gluing leaves the edge bound")
+        canon, relabel = G.canonical_form(glued)
+        rblock = self._result_block(ridx, glued)
+        vnew, fnew = relabel["vertices"], relabel["flags"]
         flavor = kind_flavor(self.kind)
-        factors = self._dec_factors(old_graph, old_dec)
-        old_vs = list(old_graph.vertices)
+        word = [] if new_edge is None else [tuple(sorted(fnew[f]
+                                                         for f in new_edge))]
+        moved = []
+        for block, raw, vmap, fmap in pieces:
+            graph = block.graph
+            vto = {v: vnew[vmap[v] if vmap else v] for v in graph.vertices}
+            fto = {f: fnew[fmap[f] if fmap else f] for f in graph.flags}
+            word += [tuple(sorted((fto[a], fto[b]))) for a, b in graph.edges()]
+            slots = [(vto[v],
+                      [fto[f] for f in local_flag_order(flavor, graph, v)])
+                     for v in graph.vertices]
+            names = [v for v, _ in slots]
+            moved.append([(dec, c, (names, _transport(self.gen, flavor, canon,
+                                                      slots, _factors(dec))))
+                          for dec, c in raw.terms.items()])
+        wsign = 1
+        if self.odd:
+            wsign = wedge_reorder_sign(
+                word, sorted(tuple(sorted(e)) for e in canon.edges()))
+        n_edges = [len(block.graph.edges()) for block, _, _, _ in pieces]
+        acc: dict = {}
+        for combo in itertools.product(*moved):
+            coeff = Q(wsign)
+            earlier = 0  # degree of the earlier pieces' decorations
+            for (dec, c, _), ne in zip(combo, n_edges):
+                coeff *= c
+                # a piece's edges pass the earlier decorations
+                if self.odd and ne % 2 and earlier % 2:
+                    coeff = -coeff
+                earlier += dec.degree
+            _merge_into(acc, canon, [part for _, _, part in combo], coeff)
+        out = GradedVector(acc)
+        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
 
-        def to_new_v(v):
-            return relabel["vertices"][vmap[v] if vmap else v]
+    def _result_block(self, ridx, graph) -> _GraphBlock:
+        """The block of component `ridx` holding a graph.
 
-        def to_new_f(f):
-            return relabel["flags"][fmap[f] if fmap else f]
-
-        terms = [(Q(1), list(factors))]
-        for slot, v in enumerate(old_vs):
-            nv = to_new_v(v)
-            src_order = local_flag_order(flavor, old_graph, v)
-            dst_order = local_flag_order(flavor, new_graph, nv)
-            p = tuple(dst_order.index(to_new_f(f)) for f in src_order)
-            if p == tuple(range(len(p))):
-                continue
-            li = local_index(flavor, new_graph, nv)
-            act = self.gen.action(li)
-            new_terms = []
-            for c, fs in terms:
-                img = act.apply_basis(p, fs[slot])
-                for be2, c2 in img.terms.items():
-                    nf = list(fs)
-                    nf[slot] = be2
-                    new_terms.append((c * c2, nf))
-            terms = new_terms
-        return [to_new_v(v) for v in old_vs], terms
-
-    def _word_sign(self, old_graphs_edges, new_graph, relabels, new_edge=None):
-        """Reorder [new edge, words of the pieces] to the canonical word."""
-        word = []
-        if new_edge is not None:
-            word.append(tuple(sorted(new_edge)))
-        for edges, rel in zip(old_graphs_edges, relabels):
-            for e in edges:
-                a, b = e
-                word.append(tuple(sorted((rel(a), rel(b)))))
-        target = sorted(tuple(sorted(e)) for e in new_graph.edges())
-        if not self.odd:
-            return 1
-        return wedge_reorder_sign(word, target)
+        The graph must have been through `G.canonical_form`, which caches
+        its canonical key, so the lookup does not canonicalize again.
+        """
+        self.blocks(ridx)
+        block = self._by_key.get(graph.canonical_key())
+        if block is None:
+            raise TruncationExceeded("glued graph missing from the component")
+        return block
 
     def _relabel_positions(self, graph, label_map):
-        labels = {f: label_map[l] for f, l in graph.labels.items()}
+        labels = {f: label_map.get(l, l) for f, l in graph.labels.items()}
         return G.Graph(graph.vertices, graph.flags, graph.involution,
                        graph.boundary, genus=graph.genus, gamma=graph.gamma,
                        orientation=graph.orientation, labels=labels)
 
-    def _glued_labels(self, na, s, nb, t):
-        amap = {}
-        new = 0
-        for k in range(na - 1):
-            amap[_position_label((s + 1 + k) % na)] = _position_label(new)
-            new += 1
-        bmap = {}
-        for k in range(nb - 1):
-            bmap[_position_label((t + 1 + k) % nb)] = _position_label(new)
-            new += 1
-        return amap, bmap
-
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
-        ridx = self.circ_st_index(ai, bi)
-        out = GradedVector()
-        amap, bmap = self._glued_labels(ai[1], s, bi[1], t)
-        ga = self._relabel_positions(block_a.graph, {**amap,
-                                                     _position_label(s): "glue-a"})
-        gb = self._relabel_positions(block_b.graph, {**bmap,
-                                                     _position_label(t): "glue-b"})
-        sf = next(f for f, l in ga.labels.items() if l == "glue-a")
-        tf = next(f for f, l in gb.labels.items() if l == "glue-b")
-        glued, vmap2, fmap2 = G.graft_with_maps(ga, sf, gb, tf)
-        if len(glued.edges()) > self.max_edges:
-            raise TruncationExceeded("gluing leaves the edge bound")
-        canon, relabel = G.canonical_form(glued)
-        rblock = self._result_block(ridx, canon)
-        wsign = self._word_sign(
-            [block_a.graph.edges(), block_b.graph.edges()], canon,
-            [lambda f: relabel["flags"][f],
-             lambda f: relabel["flags"][fmap2[f]]],
-            new_edge=(relabel["flags"][sf], relabel["flags"][fmap2[tf]]))
-        for dec_a, ca in raw_a.terms.items():
-            for dec_b, cb in raw_b.terms.items():
-                coeff = ca * cb
-                if self.odd and len(block_b.graph.edges()) % 2 \
-                        and dec_a.degree % 2:
-                    coeff = -coeff
-                pa = self._transport(block_a.graph, dec_a, canon, None, None,
-                                     relabel)
-                pb = self._transport(block_b.graph, dec_b, canon, vmap2, fmap2,
-                                     relabel)
-                merged = self._merge_dec(canon, [pa, pb])
-                out = out + merged.scale(coeff * wsign)
-        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
-
-    def _merge_dec(self, canon, parts) -> GradedVector:
-        """Interleave transported piece decorations into canonical order.
-
-        Each part is (vertex names, [(coeff, factors)]); the concatenated
-        factor list moves to the canonical vertex order with a Koszul sign.
-        """
-        new_vs = list(canon.vertices)
-        out = GradedVector()
-        all_names = []
-        for names, _ in parts:
-            all_names.extend(names)
-        perm = tuple(new_vs.index(v) for v in all_names)
-        for combo in itertools.product(*[terms for _, terms in parts]):
-            coeff = Q(1)
-            seq = []
-            for c, fs in combo:
-                coeff *= c
-                seq.extend(fs)
-            sign, moved = permute_factors(perm, tuple(seq))
-            be = BE(("dec", tuple((x.ident, x.degree) for x in moved)),
-                    sum(x.degree for x in moved))
-            out = out + GradedVector.unit(be, coeff * sign)
-        return out
-
-    def _result_block(self, ridx, canon) -> _GraphBlock:
-        for b in self.blocks(ridx):
-            if b.key == canon.canonical_key():
-                return b
-        raise TruncationExceeded("glued graph missing from the component")
+        # surviving positions: a's after s, then b's after t
+        amap = {_position_label(p): _position_label(new)
+                for new, p in enumerate(rotation_order(ai[1], s))}
+        bmap = {_position_label(p): _position_label(ai[1] - 1 + new)
+                for new, p in enumerate(rotation_order(bi[1], t))}
+        amap[_position_label(s)] = "glue-a"
+        bmap[_position_label(t)] = "glue-b"
+        ga = self._relabel_positions(block_a.graph, amap)
+        gb = self._relabel_positions(block_b.graph, bmap)
+        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
+        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
+        return self._glue(self.circ_st_index(ai, bi), glued,
+                          [(block_a, raw_a, None, None),
+                           (block_b, raw_b, vmap, fmap)],
+                          new_edge=(sf, fmap[tf]))
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
         block_a, raw_a = self.expand(ai, a)
-        n = ai[1]
-        label_map = {}
-        new = 0
-        for k in range(1, n):
-            p = (s + k) % n
-            if p == t:
-                continue
-            label_map[_position_label(p)] = _position_label(new)
-            new += 1
-        ga = self._relabel_positions(
-            block_a.graph, {**label_map, _position_label(s): "glue-a",
-                            _position_label(t): "glue-b"})
-        sf = next(f for f, l in ga.labels.items() if l == "glue-a")
-        tf = next(f for f, l in ga.labels.items() if l == "glue-b")
+        label_map = {_position_label(p): _position_label(new)
+                     for new, p in enumerate(rotation_order2(ai[1], s, t))}
+        label_map[_position_label(s)] = "glue-a"
+        label_map[_position_label(t)] = "glue-b"
+        ga = self._relabel_positions(block_a.graph, label_map)
+        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(ga, "glue-b")
         glued = G.self_glue(ga, sf, tf)
-        if len(glued.edges()) > self.max_edges:
-            raise TruncationExceeded("self-gluing leaves the edge bound")
-        canon, relabel = G.canonical_form(glued)
-        ridx = self._index_of_graph(canon)
-        rblock = self._result_block(ridx, canon)
-        out = GradedVector()
-        wsign = self._word_sign([block_a.graph.edges()], canon,
-                                [lambda f: relabel["flags"][f]],
-                                new_edge=(relabel["flags"][sf],
-                                          relabel["flags"][tf]))
-        for dec_a, ca in raw_a.terms.items():
-            pa = self._transport(block_a.graph, dec_a, canon, None, None,
-                                 relabel)
-            merged = self._merge_dec(canon, [pa])
-            out = out + merged.scale(ca * wsign)
-        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
+        return self._glue(self._index_of_graph(glued), glued,
+                          [(block_a, raw_a, None, None)], new_edge=(sf, tf))
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         if not kind_has_box(self.kind):
             raise KindMismatch(f"{self.kind} has no horizontal composition")
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
-        na, nb = ai[1], bi[1]
-        amap = {_position_label(i): _position_label(i) for i in range(na)}
-        bmap = {_position_label(i): _position_label(na + i) for i in range(nb)}
-        ga = self._relabel_positions(block_a.graph, amap)
-        gb = self._relabel_positions(block_b.graph, bmap)
-        union, vmap2, fmap2 = G.disjoint_union_with_maps(ga, gb)
-        canon, relabel = G.canonical_form(union)
-        ridx = self._index_of_graph(canon)
-        rblock = self._result_block(ridx, canon)
-        out = GradedVector()
-        wsign = self._word_sign(
-            [block_a.graph.edges(), block_b.graph.edges()], canon,
-            [lambda f: relabel["flags"][f],
-             lambda f: relabel["flags"][fmap2[f]]])
-        for dec_a, ca in raw_a.terms.items():
-            for dec_b, cb in raw_b.terms.items():
-                coeff = ca * cb
-                if self.odd and len(block_b.graph.edges()) % 2 \
-                        and dec_a.degree % 2:
-                    coeff = -coeff
-                pa = self._transport(block_a.graph, dec_a, canon, None, None,
-                                     relabel)
-                pb = self._transport(block_b.graph, dec_b, canon, vmap2,
-                                     fmap2, relabel)
-                merged = self._merge_dec(canon, [pa, pb])
-                out = out + merged.scale(coeff * wsign)
-        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
+        gb = self._relabel_positions(
+            block_b.graph, {_position_label(i): _position_label(ai[1] + i)
+                            for i in range(bi[1])})
+        union, vmap, fmap = G.disjoint_union_with_maps(block_a.graph, gb)
+        return self._glue(self._index_of_graph(union), union,
+                          [(block_a, raw_a, None, None),
+                           (block_b, raw_b, vmap, fmap)])
 
     def _index_of_graph(self, graph):
         flavor = kind_flavor(self.kind)
@@ -446,36 +343,70 @@ class FreeTwisted(StructureInstance):
         return self._index_of_graph(block.graph)
 
     def _build_action(self, idx):
-        elements = all_perms(idx[1])
-
         def apply_basis(p, a):
-            return self._act_basis_perm(idx, p, a)
+            block, raw = self.expand(idx, a)
+            moved = self._relabel_positions(
+                block.graph, {_position_label(i): _position_label(p[i])
+                              for i in range(len(p))})
+            return self._glue(idx, moved, [(block, raw, None, None)])
 
-        return GroupAction(elements, apply_basis)
-
-    def _act_basis_perm(self, idx, p, a):
-        block, raw = self.expand(idx, a)
-        label_map = {_position_label(i): _position_label(p[i])
-                     for i in range(idx[1])}
-        moved = self._relabel_positions(block.graph, label_map)
-        canon, relabel = G.canonical_form(moved)
-        rblock = self._result_block(idx, canon)
-        out = GradedVector()
-        wsign = self._word_sign([block.graph.edges()], canon,
-                                [lambda f: relabel["flags"][f]])
-        for dec, c in raw.terms.items():
-            pa = self._transport(block.graph, dec, canon, None, None, relabel)
-            merged = self._merge_dec(canon, [pa])
-            out = out + merged.scale(c * wsign)
-        return self.project_raw(idx, rblock, out)
+        return GroupAction(all_perms(self.arity(idx)), apply_basis)
 
 
-def _perm_of_positions(target_positions):
-    """Permutation p with p[i] = position of source item i in the target."""
-    out = [0] * len(target_positions)
-    for i, pos in enumerate(target_positions):
-        out[pos] = i
-    return tuple(invert(tuple(out)))
+def _flag_labelled(graph, label):
+    return next(f for f, l in graph.labels.items() if l == label)
+
+
+def _factors(dec: BE) -> tuple:
+    """The per-vertex factors of a raw decoration ("dec", factors)."""
+    return tuple(BE(i, d) for i, d in dec.ident[1])
+
+
+def _transport(inst, flavor, canon, slots, factors) -> list:
+    """Move decoration factors onto vertices of a canonical graph.
+
+    slots[i] is (vertex of canon, canon flags of factor i in the factor's
+    own position order); where that order differs from the local flag
+    order at the vertex, factor i is moved by the action of `inst`.
+    Returns [(coeff, factors)], the factors still in slot order.
+    """
+    terms = [(Q(1), list(factors))]
+    for slot, (v, flags) in enumerate(slots):
+        dst_order = local_flag_order(flavor, canon, v)
+        p = tuple(dst_order.index(f) for f in flags)
+        if p == tuple(range(len(p))):
+            continue
+        act = inst.action(local_index(flavor, canon, v))
+        new_terms = []
+        for c, fs in terms:
+            img = act.apply_basis(p, fs[slot])
+            for be2, c2 in img.terms.items():
+                nf = list(fs)
+                nf[slot] = be2
+                new_terms.append((c * c2, nf))
+        terms = new_terms
+    return terms
+
+
+def _merge_into(acc: dict, canon, parts, scale) -> None:
+    """Interleave transported parts into canonical vertex order.
+
+    Each part is (vertex names, [(coeff, factors)]); the concatenated
+    factor list moves to the canonical vertex order with a Koszul sign, and
+    each product of terms is added to acc as a raw decoration, times scale.
+    """
+    pos = {v: i for i, v in enumerate(canon.vertices)}
+    perm = tuple(pos[v] for names, _ in parts for v in names)
+    for combo in itertools.product(*[terms for _, terms in parts]):
+        coeff = scale
+        seq = []
+        for c, fs in combo:
+            coeff *= c
+            seq.extend(fs)
+        sign, moved = permute_factors(perm, tuple(seq))
+        be = BE(("dec", tuple((x.ident, x.degree) for x in moved)),
+                sum(x.degree for x in moved))
+        acc[be] = acc.get(be, Q(0)) + coeff * sign
 
 
 def free_construct(gen: StructureInstance, kind: str, twist: str,
@@ -551,6 +482,7 @@ class NcTensorExtension(StructureInstance):
     def _build_component(self, idx):
         gamma, n = idx
         out = []
+        seen = set()
         for k in range(1, self.max_factors + 1):
             for parts in _ordered_partitions(list(range(n)), k):
                 for gs in _compositions(gamma, k):
@@ -563,15 +495,10 @@ class NcTensorExtension(StructureInstance):
                         if sign == 0:
                             continue
                         be = self._be(norm)
-                        if sign == 1 and be not in {x for x in out}:
+                        if sign == 1 and be.ident not in seen:
+                            seen.add(be.ident)
                             out.append(be)
-        seen = []
-        uniq = []
-        for be in out:
-            if be.ident not in seen:
-                seen.append(be.ident)
-                uniq.append(be)
-        return uniq
+        return out
 
     def _build_action(self, idx):
         gamma, n = idx
@@ -584,8 +511,7 @@ class NcTensorExtension(StructureInstance):
                 order = sorted(range(len(new_labels)),
                                key=lambda i: new_labels[i])
                 local = tuple(order.index(i) for i in range(len(new_labels)))
-                img = self.base.act(bidx, _lift(self.base, bidx, local),
-                                    GradedVector.unit(b))
+                img = self.base.act(bidx, local, GradedVector.unit(b))
                 new_blocks.append((bidx, img, tuple(sorted(new_labels))))
             out = GradedVector()
             for combo in itertools.product(
@@ -638,7 +564,6 @@ class NcTensorExtension(StructureInstance):
         return -1 if d % 2 else 1
 
     def _renumber(self, n_total, s, t):
-        from .smodules import rotation_order2
         order = rotation_order2(n_total, s, t)
         return {old: new for new, old in enumerate(order)}
 
@@ -647,7 +572,6 @@ class NcTensorExtension(StructureInstance):
         _, ti = pt
         idx, x, labels = blocks[bi]
         glued = self.base.self_basis(idx, x, min(si, ti), max(si, ti))
-        from .smodules import rotation_order2
         rest = rotation_order2(len(labels), min(si, ti), max(si, ti))
         relabel = self._renumber(ai[1], labels[si], labels[ti])
         new_labels = tuple(relabel[labels[i]] for i in rest)
@@ -662,7 +586,6 @@ class NcTensorExtension(StructureInstance):
         idx_j, y, labels_j = blocks[bj]
         glued = self.base.circ_st(idx_i, GradedVector.unit(x), si,
                                   idx_j, GradedVector.unit(y), tj)
-        from .smodules import rotation_order
         order_i = rotation_order(len(labels_i), si)
         order_j = rotation_order(len(labels_j), tj)
         relabel = self._renumber(ai[1], labels_i[si], labels_j[tj])
@@ -701,10 +624,6 @@ class NcTensorExtension(StructureInstance):
         gamma = sum(idx[0] for idx, _, _ in blocks)
         n = sum(len(labels) for _, _, labels in blocks)
         return (gamma, n)
-
-
-def _lift(base, idx, p):
-    return p
 
 
 def _ordered_partitions(items, k):
@@ -765,68 +684,24 @@ class FreeOperad(FreeTwisted):
     def _index_of_graph(self, graph):
         return len(graph.tails()) - 1
 
-    def _relabel_positions(self, graph, label_map):
-        labels = {f: label_map.get(l, l) for f, l in graph.labels.items()}
-        return G.Graph(graph.vertices, graph.flags, graph.involution,
-                       graph.boundary, orientation=graph.orientation,
-                       labels=labels)
-
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
-        amap = {}
-        for k in range(ai):
-            if k < i - 1:
-                amap[_position_label(k)] = _position_label(k)
-            elif k == i - 1:
-                amap[_position_label(k)] = "glue-a"
-            else:
-                amap[_position_label(k)] = _position_label(k + bi - 1)
+        # b's leaves take the place of leaf i; later leaves of a move up
+        amap = {_position_label(k): _position_label(k + bi - 1)
+                for k in range(i, ai)}
+        amap[_position_label(i - 1)] = "glue-a"
         bmap = {_position_label(k): _position_label(i - 1 + k)
                 for k in range(bi)}
         bmap["r"] = "glue-b"
         ga = self._relabel_positions(block_a.graph, amap)
         gb = self._relabel_positions(block_b.graph, bmap)
-        sf = next(f for f, l in ga.labels.items() if l == "glue-a")
-        tf = next(f for f, l in gb.labels.items() if l == "glue-b")
-        glued, vmap2, fmap2 = G.graft_with_maps(ga, sf, gb, tf)
-        if len(glued.edges()) > self.max_edges:
-            raise TruncationExceeded("composition leaves the edge bound")
-        canon, relabel = G.canonical_form(glued)
-        ridx = ai + bi - 1
-        rblock = self._result_block(ridx, canon)
-        out = GradedVector()
-        for dec_a, ca in raw_a.terms.items():
-            for dec_b, cb in raw_b.terms.items():
-                pa = self._transport(block_a.graph, dec_a, canon, None, None,
-                                     relabel)
-                pb = self._transport(block_b.graph, dec_b, canon, vmap2,
-                                     fmap2, relabel)
-                merged = self._merge_dec(canon, [pa, pb])
-                out = out + merged.scale(ca * cb)
-        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
-
-    def _act_basis_perm(self, idx, p, a):
-        block, raw = self.expand(idx, a)
-        label_map = {_position_label(i): _position_label(p[i])
-                     for i in range(idx)}
-        moved = self._relabel_positions(block.graph, label_map)
-        canon, relabel = G.canonical_form(moved)
-        rblock = self._result_block(idx, canon)
-        out = GradedVector()
-        for dec, c in raw.terms.items():
-            pa = self._transport(block.graph, dec, canon, None, None, relabel)
-            merged = self._merge_dec(canon, [pa])
-            out = out + merged.scale(c)
-        return self.project_raw(idx, rblock, out)
-
-    def _build_action(self, idx):
-        elements = all_perms(idx)
-
-        def apply_basis(p, a):
-            return self._act_basis_perm(idx, p, a)
-
-        return GroupAction(elements, apply_basis)
+        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
+        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
+        return self._glue(ai + bi - 1, glued,
+                          [(block_a, raw_a, None, None),
+                           (block_b, raw_b, vmap, fmap)],
+                          new_edge=(sf, fmap[tf]))
 
 
 def free_operad(gen: StructureInstance, max_edges: int) -> FreeOperad:
@@ -894,23 +769,6 @@ class DgInstance:
             if lhs != rhs:
                 return False
         return True
-
-
-def space_differential(space, images: dict):
-    """A differential on a space given on basis idents; checked for d^2=0."""
-    table = {}
-    for be in space:
-        img = images.get(be.ident, GradedVector())
-        for b2, _ in img.terms.items():
-            if b2.degree != be.degree + 1:
-                raise DegreeError("differential must have degree +1")
-        table[be.ident] = img
-    for be in space:
-        dd = table[be.ident].map_basis(
-            lambda b: table.get(b.ident, GradedVector()))
-        if not dd.is_zero():
-            raise DegreeError("differential does not square to zero")
-    return table
 
 
 def modular_e_differential(E, d_space: dict):
@@ -1019,8 +877,6 @@ class FeynmanTransform:
             return self._contractions[key]
         o = self.source.inst
         ghat = bhat.graph
-        f1, f2 = e
-        v1, v2 = ghat.boundary[f1], ghat.boundary[f2]
         target = G.contract_edge(ghat, e)
         canon, relabel = G.canonical_form(target)
         # edge word sign: extract e from ghat's word, remaining must match
@@ -1034,29 +890,34 @@ class FeynmanTransform:
             image, sorted(tuple(sorted(x)) for x in canon.edges()))
 
         flavor = kind_flavor(o.kind)
-        mapping = {}
-        old_vs = list(ghat.vertices)
         raw_map = {}
         for dec in itertools.product(*[o.component(local_index(flavor, ghat, v))
-                                       for v in old_vs]):
-            vec = self._contract_dec(o, ghat, old_vs, dec, f1, f2, v1, v2,
-                                     canon, relabel)
+                                       for v in ghat.vertices]):
             ident = tuple((x.ident, x.degree) for x in dec)
-            raw_map[ident] = vec
+            raw_map[ident] = self._contract_dec(o, ghat, dec, e, canon,
+                                                relabel)
         data = (canon, word_sign, raw_map)
         self._contractions[key] = data
         return data
 
-    def _contract_dec(self, o, ghat, old_vs, dec, f1, f2, v1, v2, canon,
-                      relabel):
+    def _contract_dec(self, o, ghat, dec, e, canon, relabel) -> GradedVector:
+        """Contract edge e of the decorated graph (ghat, dec) in the source.
+
+        The factors at the ends of e are glued by the source's own
+        composition; the result and the untouched factors are transported
+        onto the canonical contracted graph and merged in its vertex order.
+        """
         flavor = kind_flavor(o.kind)
+        f1, f2 = e
+        v1, v2 = ghat.boundary[f1], ghat.boundary[f2]
+        old_vs = list(ghat.vertices)
         p1 = old_vs.index(v1)
         if v1 == v2:
             order = local_flag_order(flavor, ghat, v1)
             s, t = sorted((order.index(f1), order.index(f2)))
             glued = o.self_basis(local_index(flavor, ghat, v1), dec[p1], s, t)
-            glued_flags = [order[k] for k in _rot2(len(order), s, t)]
-            rest = [(v, dec[i]) for i, v in enumerate(old_vs) if i != p1]
+            glued_flags = [order[k] for k in rotation_order2(len(order), s, t)]
+            others = [i for i in range(len(old_vs)) if i != p1]
             sign0 = 1
         else:
             p2 = old_vs.index(v2)
@@ -1070,50 +931,23 @@ class FeynmanTransform:
             sign0 = koszul_sign(perm, [x.degree for x in dec])
             glued = o.circ_st_basis(local_index(flavor, ghat, v1), dec[p1], s,
                                     local_index(flavor, ghat, v2), dec[p2], t)
-            glued_flags = ([o1[k] for k in _rot(len(o1), s)]
-                           + [o2[k] for k in _rot(len(o2), t)])
-            rest = [(old_vs[i], dec[i]) for i in others]
-        merged_v = canon.boundary[relabel["flags"][glued_flags[0]]] \
-            if glued_flags else relabel["vertices"][min(v1, v2)]
-        out = GradedVector()
-        new_vs = list(canon.vertices)
-        dst_order = local_flag_order(flavor, canon, merged_v)
-        p = tuple(dst_order.index(relabel["flags"][f]) for f in glued_flags)
-        li = local_index(flavor, canon, merged_v)
-        act = o.action(li)
+            glued_flags = ([o1[k] for k in rotation_order(len(o1), s)]
+                           + [o2[k] for k in rotation_order(len(o2), t)])
+        vnew, fnew = relabel["vertices"], relabel["flags"]
+        merged_v = canon.boundary[fnew[glued_flags[0]]] \
+            if glued_flags else vnew[min(v1, v2)]
+        # the glued factor sits at the merged vertex, the others move along
+        slots = [(merged_v, [fnew[f] for f in glued_flags])] + [
+            (vnew[old_vs[i]],
+             [fnew[f] for f in local_flag_order(flavor, ghat, old_vs[i])])
+            for i in others]
+        names = [v for v, _ in slots]
+        rest = [dec[i] for i in others]
+        acc: dict = {}
         for gbe, gc in glued.terms.items():
-            adjusted = act.apply_basis(p, gbe) if p != tuple(range(len(p))) \
-                else GradedVector.unit(gbe)
-            for abe, ac in adjusted.terms.items():
-                # transport the untouched factors and interleave
-                terms = [(Q(1), [abe] + [x for _, x in rest])]
-                names = [merged_v] + [relabel["vertices"][v] for v, _ in rest]
-                for slot, (v, x) in enumerate(rest, start=1):
-                    nv = relabel["vertices"][v]
-                    src_order = local_flag_order(flavor, ghat, v)
-                    dsto = local_flag_order(flavor, canon, nv)
-                    pp = tuple(dsto.index(relabel["flags"][f])
-                               for f in src_order)
-                    if pp == tuple(range(len(pp))):
-                        continue
-                    act2 = o.action(local_index(flavor, canon, nv))
-                    new_terms = []
-                    for c, fs in terms:
-                        img = act2.apply_basis(pp, fs[slot])
-                        for be2, c2 in img.terms.items():
-                            nf = list(fs)
-                            nf[slot] = be2
-                            new_terms.append((c * c2, nf))
-                    terms = new_terms
-                perm = tuple(new_vs.index(v) for v in names)
-                for c, fs in terms:
-                    sgn, moved = permute_factors(perm, tuple(fs))
-                    ident = tuple((x.ident, x.degree) for x in moved)
-                    out = out + GradedVector.unit(
-                        BE(("pdec", ident),
-                           sum(x.degree for x in moved)),
-                        sign0 * gc * ac * c * sgn)
-        return out
+            terms = _transport(o, flavor, canon, slots, [gbe] + rest)
+            _merge_into(acc, canon, [(names, terms)], sign0 * gc)
+        return GradedVector(acc)
 
     # -- the differential --------------------------------------------------
 
@@ -1159,20 +993,24 @@ class FeynmanTransform:
         return out
 
     def d_internal(self, x: SumElement) -> SumElement:
-        """Dual of the source differential, extended as a derivation."""
+        """Dual of the source differential, extended as a derivation.
+
+        It acts on decorations only, so each term stays in the block of the
+        graph it came from; raw decorations alone do not name the graph.
+        """
         out = SumElement()
         F = self.free
-        o = self.source.inst
+        flavor = kind_flavor(self.source.inst.kind)
         for idx, v in x.items():
-            acc = GradedVector()
+            per_block: dict = {}
             for be, c in v.terms.items():
                 block, raw = F.expand(idx, be)
+                acc = per_block.setdefault(block.key, (block, {}))[1]
                 nE = len(block.graph.edges())
-                flavor = kind_flavor(o.kind)
                 locs = [local_index(flavor, block.graph, w)
                         for w in block.graph.vertices]
                 for dec, cd in raw.terms.items():
-                    factors = tuple(BE(i, d) for i, d in dec.ident[1])
+                    factors = _factors(dec)
                     for slot in range(len(factors)):
                         img = self._dual_diff(locs[slot], factors[slot])
                         if img.is_zero():
@@ -1184,27 +1022,12 @@ class FeynmanTransform:
                             nbe = BE(("dec",
                                       tuple((x.ident, x.degree) for x in nfs)),
                                      sum(x.degree for x in nfs))
-                            acc = acc + GradedVector.unit(
-                                nbe, c * cd * c2 * sign)
-            out = out + self._project_acc(idx, acc)
-        return out
-
-    def _project_acc(self, idx, acc: GradedVector) -> SumElement:
-        F = self.free
-        per_block: dict = {}
-        for be, c in acc.terms.items():
-            owner = None
-            for blk in F.blocks(idx):
-                if any(b.ident == be.ident for b in blk.raw_basis):
-                    owner = blk
-                    break
-            if owner is None:
-                raise AssertionError("raw term outside every block")
-            per_block.setdefault(owner.key, (owner, {}))[1][be] = c
-        out = SumElement()
-        for key, (blk, terms) in per_block.items():
-            out = out + SumElement.single(
-                idx, F.project_raw(idx, blk, GradedVector(terms)))
+                            acc[nbe] = acc.get(nbe, Q(0)) + c * cd * c2 * sign
+            for block, acc in per_block.values():
+                raw_img = GradedVector(acc)
+                if not raw_img.is_zero():
+                    out = out + SumElement.single(
+                        idx, F.project_raw(idx, block, raw_img))
         return out
 
     def _dual_diff(self, loc, phi: BE) -> GradedVector:
@@ -1230,30 +1053,8 @@ class FeynmanTransform:
         return self.d_internal(x) + self.d_edge(x)
 
 
-def _rot(n, removed):
-    return [(removed + 1 + k) % n for k in range(n - 1)]
-
-
-def _rot2(n, s, t):
-    out = []
-    for k in range(1, n):
-        p = (s + k) % n
-        if p != t:
-            out.append(p)
-    return out
-
-
-def feynman_transform(source: DgInstance, window, max_edges: int) -> FeynmanTransform:
-    """The dual transform: free odd construction on the componentwise duals
-    with the edge-insertion differential."""
-    return FeynmanTransform(source, window, max_edges)
-
-
 # --------------------------------------------------------------------------
 # master equation
-
-from .brackets import delta as _delta  # noqa: E402  (re-export convenience)
-
 
 @dataclass
 class MasterSeries:
@@ -1385,7 +1186,6 @@ class MorphismChecker:
 
     def __init__(self, w_space, w_form_entries, v_space, v_form_entries,
                  v_diff, window, u_form):
-        from .smodules import BilinearForm
         self.w_space = list(w_space)
         self.v_space = list(v_space)
         self.bu = u_form
@@ -1423,7 +1223,6 @@ class MorphismChecker:
             out[key] = out.get(key, Q(0)) + coeff * cu * sign
 
     def _loop_part(self, series, idx, phi_ident):
-        from .smodules import rotation_order2
         g, n = idx
         if g == 0:
             return {}
@@ -1438,7 +1237,6 @@ class MorphismChecker:
         return {k: v for k, v in out.items() if v}
 
     def _glue_part(self, series, idx, phi_ident):
-        from .smodules import rotation_order
         g, n = idx
         out = {}
         for g1 in range(g + 1):

@@ -13,12 +13,10 @@ the coboundaries D[s], D[st], D[Sigma], D[s_out] induced from vertex lines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InputError, MissingVertexType, NonInvertibleTwist
-from .gradedlin import Q, koszul_sign, rref, wedge_reorder_sign
+from .errors import InputError, MissingVertexType
+from .gradedlin import Q, rref, wedge_reorder_sign
 from . import graphs as G
 
 

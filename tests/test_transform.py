@@ -8,10 +8,12 @@ from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
                               delta, dioperadic_product, lie_bracket, prelie,
                               project_coinvariants)
 from opforge.errors import TruncationExceeded, UnsupportedKind
-from opforge.gradedlin import BE, GradedVector, Q, koszul_sign
+from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
+                               koszul_sign)
 from opforge.smodules import (BilinearForm, EndOperad, ModularE, check_axioms,
                               contract_word, rotation_order2)
-from opforge.transform import (DgInstance, FeynmanTransform, MasterSeries,
+from opforge.transform import (DgInstance, FeynmanTransform,
+                               GeneratorInstance, MasterSeries,
                                MorphismChecker, NcTensorExtension,
                                build_master_carrier, certify_dg_algebra,
                                closed_window, free_construct, free_operad,
@@ -111,15 +113,40 @@ def test_free_truncation_errors():
 
 
 def test_free_gluing_associativity():
-    # two orders of attaching generators agree (the triple's associativity)
+    # (a o_0 b) o_3 c = (-1)^{edge_degree} a o_0 (b o_2 c) on three (0,3)
+    # generators: both sides are the same tree, and the edges of degree
+    # edge_degree are created in the opposite order
     gen = trivial_modular_generator([(0, 3)])
-    F = free_construct(gen, "modular", "K", 2)
-    g = F.component((0, 3))[0]
-    ab = F.circ_st_basis((0, 3), g, 0, (0, 3), g, 0)
-    lhs = F.circ_st((0, 4), ab, 3, (0, 3), GradedVector.unit(g), 0)
-    ba = F.circ_st_basis((0, 3), g, 2, (0, 3), g, 0)
-    rhs = F.circ_st((0, 4), ba, 0, (0, 3), GradedVector.unit(g), 0)
-    assert not lhs.is_zero() and not rhs.is_zero()
+    for twist in ("K", "1"):
+        F = free_construct(gen, "modular", twist, 2)
+        g = F.component((0, 3))[0]
+        unit = GradedVector.unit(g)
+        ab = F.circ_st_basis((0, 3), g, 0, (0, 3), g, 0)
+        lhs = F.circ_st((0, 4), ab, 3, (0, 3), unit, 0)
+        bc = F.circ_st_basis((0, 3), g, 2, (0, 3), g, 0)
+        rhs = F.circ_st((0, 3), unit, 0, (0, 4), bc, 0)
+        assert not lhs.is_zero(), twist
+        assert lhs == rhs.scale((-1) ** (F.edge_degree % 2)), twist
+
+
+def test_free_construction_axioms_with_self_gluing():
+    # the exhaustive axiom check, including the exchange law of self_basis
+    # with the other gluings, on both twists
+    gen = trivial_modular_generator([(0, 3)])
+    for twist in ("K", "1"):
+        rep = check_axioms(free_construct(gen, "modular", twist, 3), 6)
+        assert rep.ok, (twist, rep.first_failure())
+        assert rep.checked > 0
+
+
+def test_free_box_past_edge_bound_raises():
+    gen = trivial_modular_generator([(0, 3)])
+    NC = nc_extension(free_construct(gen, "modular", "K", 1))
+    a, b = NC.component((0, 4))[:2]
+    assert all(len(NC._by_key[x.ident[1]].graph.edges()) == 1
+               for x in (a, b))
+    with pytest.raises(TruncationExceeded):
+        NC.box_basis((0, 4), a, (0, 4), b)
 
 
 # -- nc extensions ---------------------------------------------------------------
@@ -402,6 +429,42 @@ def test_feynman_leibniz_for_edge_differential():
     # circ_st inserts an edge of degree edge_degree in front of the edge
     # word, so d passes over it with the sign (-1)^edge_degree
     assert lhs == rhs.scale((-1) ** (F.edge_degree % 2))
+
+
+def test_feynman_internal_differential_keeps_each_graph():
+    # component (0,2) at two edges has three graphs whose vertex types are
+    # (0,1), (0,2), (0,3), so their raw decorations share identifiers; the
+    # internal differential acts on decorations only and must leave every
+    # term in the block of the graph it came from
+    def trivial(n):
+        return GroupAction(all_perms(n), lambda p, a: GradedVector.unit(a))
+
+    u, w = BE("u", 0), BE("w", 1)
+    src = GeneratorInstance(
+        "modular", {(0, 1): [u, w], (0, 2): [BE("e2", 0)],
+                    (0, 3): [BE("e3", 0)]},
+        {(0, 1): trivial(1), (0, 2): trivial(2), (0, 3): trivial(3)})
+
+    def d(idx, v):
+        return GradedVector({w: c for be, c in v.terms.items() if be == u})
+
+    types = [(0, 1), (0, 2), (0, 3)]
+    ft = FeynmanTransform(DgInstance(src, d), types, 2, close_window=False)
+    idx = (0, 2)
+    shared = {}
+    for block in ft.free.blocks(idx):
+        types_of = tuple(sorted((block.graph.g_of(v),
+                                 len(block.graph.vertex_flags(v)))
+                                for v in block.graph.vertices))
+        shared[types_of] = shared.get(types_of, 0) + 1
+    assert shared[tuple(types)] == 3
+    images = 0
+    for be in ft.free.component(idx):
+        img = ft.d_internal(single(idx, be)).parts.get(idx, GradedVector())
+        for term in img.terms:
+            images += 1
+            assert term.ident[1] == be.ident[1], f"{be} -> {term}"
+    assert images == 4
 
 
 def test_feynman_internal_differential():
