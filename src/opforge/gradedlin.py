@@ -8,6 +8,7 @@ invariants and coinvariants.  No floats anywhere.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,10 +226,11 @@ class GradedVector:
 
     def map_basis(self, f: Callable[[BE], "GradedVector"]) -> "GradedVector":
         """Apply a linear map given on basis elements."""
-        out = GradedVector()
+        acc: dict = {}
         for be, c in self.terms.items():
-            out = out + f(be).scale(c)
-        return out
+            for img, d in f(be).terms.items():
+                acc[img] = acc.get(img, ZERO) + c * d
+        return GradedVector(acc)
 
 
 def vec(*pairs: tuple[BE, Fraction | int]) -> GradedVector:
@@ -346,12 +348,21 @@ class GroupAction:
         return len(self.elements)
 
 
-def average(action: GroupAction, v: GradedVector) -> GradedVector:
-    """(1/|G|) sum_g g.v; an idempotent projector onto the invariants."""
-    total = GradedVector()
+def average(action: GroupAction, v: GradedVector,
+            char: Callable[[Hashable], int] | None = None) -> GradedVector:
+    """(1/|G|) sum_g char(g) g.v; an idempotent projector onto the invariants.
+
+    `char` is a sign character of the group (default: trivial); the result
+    is then the projection onto the char-isotypic part.
+    """
+    acc: dict = {}
     for g in action.elements:
-        total = total + action.apply(g, v)
-    return total.scale(Q(1, action.order()))
+        s = char(g) if char else 1
+        for be, c in v.terms.items():
+            for img, d in action.apply_basis(g, be).terms.items():
+                acc[img] = acc.get(img, ZERO) + s * c * d
+    scale = Q(1, action.order())
+    return GradedVector({be: c * scale for be, c in acc.items()})
 
 
 def cyclic_operator_N(action: GroupAction, v: GradedVector, n: int) -> GradedVector:
@@ -367,23 +378,7 @@ def cyclic_operator_N(action: GroupAction, v: GradedVector, n: int) -> GradedVec
 
 
 # --------------------------------------------------------------------------
-# small exact linear algebra (dense over Fractions)
-
-
-def to_dense(vectors: Sequence[Mapping], keys: Sequence | None = None):
-    if keys is None:
-        seen = set()
-        for v in vectors:
-            seen.update(v.keys())
-        keys = sorted(seen, key=repr)
-    index = {k: i for i, k in enumerate(keys)}
-    mat = []
-    for v in vectors:
-        row = [ZERO] * len(keys)
-        for k, c in v.items():
-            row[index[k]] = Q(c)
-        mat.append(row)
-    return list(keys), mat
+# small exact linear algebra (sparse elimination over dict rows; dense rref)
 
 
 def rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -411,38 +406,111 @@ def rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
+def _axpy(acc: dict, f: Fraction, row: Mapping, fresh: list | None = None) -> None:
+    """acc -= f * row over the nonzero entries of row; zeros are dropped.
+
+    Keys that were not in acc before are appended to `fresh`.
+    """
+    for k, c in row.items():
+        x = acc.get(k)
+        if x is None:
+            acc[k] = -f * c
+            if fresh is not None:
+                fresh.append(k)
+        else:
+            x -= f * c
+            if x:
+                acc[k] = x
+            else:
+                del acc[k]
+
+
+class _Echelon:
+    """Dict rows in echelon form, built by forward elimination.
+
+    Row j is 1 at its pivot key pivots[j] (stored without that entry) and 0
+    at every earlier pivot, so reducing a vector by the rows in pivot order
+    clears each pivot for good.  Only nonzero entries are stored or touched,
+    and only the rows whose pivot the vector meets are visited.  When
+    tracking, combos[j] writes row j in the added vectors, by their index.
+    """
+
+    def __init__(self, track: bool = False):
+        self.pivots: list = []
+        self.position: dict = {}  # pivot key -> j
+        self.rows: list[dict] = []
+        self.combos: list[dict] | None = [] if track else None
+
+    def reduce(self, v: dict, taken: dict | None = None) -> None:
+        """Reduce v in place; add to `taken` the combination removed."""
+        position = self.position
+        todo = [position[k] for k in v if k in position]
+        heapq.heapify(todo)
+        while todo:
+            j = heapq.heappop(todo)
+            f = v.pop(self.pivots[j], None)
+            if f is None:
+                continue  # queued twice, or already cancelled
+            fresh: list = []
+            _axpy(v, f, self.rows[j], fresh)
+            for k in fresh:
+                if k in position:  # a later pivot
+                    heapq.heappush(todo, position[k])
+            if taken is not None:
+                _axpy(taken, -f, self.combos[j])
+
+    def add(self, v: Mapping, index: int = 0) -> bool:
+        """Add vector number `index`; False when it is in the span already."""
+        r = {k: c for k, c in v.items() if c}
+        taken = {} if self.combos is not None else None
+        self.reduce(r, taken)
+        if not r:
+            return False
+        piv = next(iter(r))
+        inv = ONE / r.pop(piv)
+        self.position[piv] = len(self.pivots)
+        self.pivots.append(piv)
+        self.rows.append({k: c * inv for k, c in r.items()})
+        if taken is not None:
+            combo = {index: inv}
+            combo.update((i, -c * inv) for i, c in taken.items())
+            self.combos.append(combo)
+        return True
+
+
+def independent_rows(vectors: Sequence[Mapping]) -> list[int]:
+    """Indices of the greedy earliest-independent rows.
+
+    Row i is selected exactly when it is not in the span of rows 0..i-1, so
+    the selected rows are a basis of the span of all rows.
+    """
+    ech = _Echelon()
+    return [i for i, v in enumerate(vectors) if ech.add(v)]
+
+
 def rank_of(vectors: Sequence[Mapping]) -> int:
-    if not vectors:
-        return 0
-    _, mat = to_dense(vectors)
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+    """Dimension of the span of the rows (dicts key -> coefficient)."""
+    return len(independent_rows(vectors))
 
 
 def coords_in_span(basis: Sequence[Mapping], target: Mapping) -> list[Fraction] | None:
-    """Exact coordinates of target in the span of basis, or None."""
-    keys, mat = to_dense(list(basis) + [target])
-    if not keys:
-        return [ZERO] * len(basis)
-    # solve A^T x = b by reducing the augmented transpose
-    n = len(basis)
-    aug = []
-    for j in range(len(keys)):
-        aug.append([mat[i][j] for i in range(n)] + [mat[n][j]])
-    red, pivots = rref(aug) if aug else ([], [])
-    coords = [ZERO] * n
-    for row, c in zip(red, pivots):
-        if c == n:
-            return None  # inconsistent: pivot in the augmented column
-    for row in red:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        if lead == n:
-            return None
-        coords[lead] = row[n]
+    """Exact coordinates of target in the span of basis, or None.
+
+    The solution returned is the one supported on `independent_rows(basis)`:
+    a member that is a combination of earlier members gets coordinate 0.
+    None means target is not in the span.
+    """
+    ech = _Echelon(track=True)
+    for i, b in enumerate(basis):
+        ech.add(b, i)
+    r = {k: c for k, c in target.items() if c}
+    taken: dict = {}
+    ech.reduce(r, taken)
+    if r:
+        return None
+    coords = [ZERO] * len(basis)
+    for i, c in taken.items():
+        coords[i] = c
     return coords
 
 

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 from .errors import (DegenerateForm, FlavorMismatch, KindMismatch,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, ONE, ZERO, GradedVector, GroupAction, Perm, Q,
-                        all_perms, invert, koszul_sign, long_cycle, perm_sign,
-                        permute_factors, rank_of)
+                        all_perms, average, invert, koszul_sign, long_cycle,
+                        perm_sign, permute_factors, rank_of)
 
 # --------------------------------------------------------------------------
 # kinds
@@ -282,11 +282,7 @@ class StructureInstance:
         return self.t_rot(self.circ_index(ai, bi), z, (-(m + 1)) % (ai + bi))
 
     def average(self, idx, v) -> GradedVector:
-        total = GradedVector()
-        act = self.action(idx)
-        for g in act.elements:
-            total = total + act.apply(g, v)
-        return total.scale(Q(1, act.order()))
+        return average(self.action(idx), v)
 
 
 # --------------------------------------------------------------------------

@@ -13,15 +13,16 @@ generators.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from . import graphs as G
 from .brackets import SumElement, cyclic_bracket, delta
 from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
-from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
-                        coords_in_span, invert, koszul_sign, permute_factors,
-                        rank_of, wedge_reorder_sign)
+from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms, average,
+                        coords_in_span, independent_rows, invert, koszul_sign,
+                        permute_factors, wedge_reorder_sign)
 from .smodules import (StructureInstance, contract_word, decorate,
                        kind_flavor, kind_has_box, kind_is_odd,
                        local_flag_order, local_index, rotation_order,
@@ -88,14 +89,11 @@ class FreeTwisted(StructureInstance):
     """
 
     def __init__(self, gen: StructureInstance, kind: str, max_edges: int,
-                 edge_degree: int = -1, connected: bool = True,
-                 max_flags: int = 8):
+                 edge_degree: int = -1):
         self.gen = gen
         self.kind = kind
         self.max_edges = max_edges
         self.edge_degree = edge_degree
-        self.connected = connected
-        self.max_flags = max_flags
         self.odd = kind_is_odd(kind)
         self._blocks: dict = {}
         self._by_key: dict = {}
@@ -136,25 +134,17 @@ class FreeTwisted(StructureInstance):
             return self._by_key[key]
         basis, aut, vorder = decorate(self.gen, graph)
         twist_char = self._twist_char(graph)
-        # average with the twist character folded in
-        inv_vectors = []
-        inv_bes = []
-        handled = []
-        for j, be in enumerate(basis):
-            v = GradedVector.unit(be)
-            total = GradedVector()
-            for phi in aut.elements:
-                img = aut.apply(phi, v)
-                total = total + img.scale(twist_char(phi))
-            avg = total.scale(Q(1, len(aut.elements)))
-            if avg.is_zero():
-                continue
-            cand = {b.ident: c for b, c in avg.terms.items()}
-            if rank_of(handled + [cand]) > len(handled):
-                handled.append(cand)
-                inv_vectors.append({b: c for b, c in avg.terms.items()})
-                deg = be.degree + self.edge_degree * len(graph.edges())
-                inv_bes.append(BE(("fc", key, len(inv_bes)), deg))
+        # average with the twist character folded in; keep the averages
+        # that are independent of the earlier ones
+        avgs = [(be, average(aut, GradedVector.unit(be), twist_char))
+                for be in basis]
+        avgs = [(be, avg) for be, avg in avgs if not avg.is_zero()]
+        keep = independent_rows([{b.ident: c for b, c in avg.terms.items()}
+                                 for _, avg in avgs])
+        inv_vectors = [dict(avgs[i][1].terms) for i in keep]
+        shift = self.edge_degree * len(graph.edges())
+        inv_bes = [BE(("fc", key, j), avgs[i][0].degree + shift)
+                   for j, i in enumerate(keep)]
         block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors)
         self._by_key[key] = block
         return block
@@ -195,11 +185,7 @@ class FreeTwisted(StructureInstance):
     def project_raw(self, idx, block: _GraphBlock, raw: GradedVector) -> GradedVector:
         """Average a raw vector (twist-weighted) and express it in the
         invariant basis of its block."""
-        twist_char = self._twist_char(block.graph)
-        total = GradedVector()
-        for phi in block.aut.elements:
-            total = total + block.aut.apply(phi, raw).scale(twist_char(phi))
-        avg = total.scale(Q(1, len(block.aut.elements)))
+        avg = average(block.aut, raw, self._twist_char(block.graph))
         if avg.is_zero():
             return GradedVector()
         target = {b.ident: c for b, c in avg.terms.items()}
@@ -208,11 +194,7 @@ class FreeTwisted(StructureInstance):
         coords = coords_in_span(basis, target)
         if coords is None:
             raise AssertionError("projection left the invariant span")
-        out = GradedVector()
-        for c, be in zip(coords, block.inv_bes):
-            if c:
-                out = out + GradedVector.unit(be, c)
-        return out
+        return GradedVector(dict(zip(block.inv_bes, coords)))
 
     # -- raw gluing ----------------------------------------------------------
 
@@ -343,12 +325,17 @@ class FreeTwisted(StructureInstance):
         return self._index_of_graph(block.graph)
 
     def _build_action(self, idx):
+        # the action and its image cache are stored on self; a weak
+        # reference keeps that from being a cycle, so dropping the
+        # instance frees the cache at once instead of at a full collection
+        this = weakref.proxy(self)
+
         def apply_basis(p, a):
-            block, raw = self.expand(idx, a)
-            moved = self._relabel_positions(
+            block, raw = this.expand(idx, a)
+            moved = this._relabel_positions(
                 block.graph, {_position_label(i): _position_label(p[i])
                               for i in range(len(p))})
-            return self._glue(idx, moved, [(block, raw, None, None)])
+            return this._glue(idx, moved, [(block, raw, None, None)])
 
         return GroupAction(all_perms(self.arity(idx)), apply_basis)
 
@@ -410,7 +397,7 @@ def _merge_into(acc: dict, canon, parts, scale) -> None:
 
 
 def free_construct(gen: StructureInstance, kind: str, twist: str,
-                   bound: int, connected: bool | None = None) -> FreeTwisted:
+                   bound: int) -> FreeTwisted:
     """Free (twisted) instance on the generators, truncated at `bound` edges.
 
     twist "K" builds the odd version (edge determinant line, edges of degree
@@ -429,10 +416,7 @@ def free_construct(gen: StructureInstance, kind: str, twist: str,
         ("nc-k-modular", True): "nc-k-modular",
     }
     actual = kind_map.get((kind, odd), kind)
-    if connected is None:
-        connected = not actual.startswith("nc-")
-    return FreeTwisted(gen, actual, bound,
-                       edge_degree=-1 if odd else 0, connected=connected)
+    return FreeTwisted(gen, actual, bound, edge_degree=-1 if odd else 0)
 
 
 def nc_extension(o: StructureInstance, bound: int | None = None) -> StructureInstance:
@@ -441,7 +425,7 @@ def nc_extension(o: StructureInstance, bound: int | None = None) -> StructureIns
         kind = {"modular": "nc-modular", "k-modular": "nc-k-modular"}.get(
             o.kind, o.kind)
         return FreeTwisted(o.gen, kind, o.max_edges if bound is None else bound,
-                           edge_degree=o.edge_degree, connected=False)
+                           edge_degree=o.edge_degree)
     return NcTensorExtension(o, bound or 2)
 
 
@@ -663,8 +647,7 @@ class FreeOperad(FreeTwisted):
     """
 
     def __init__(self, gen: StructureInstance, max_edges: int):
-        super().__init__(gen, "modular", max_edges, edge_degree=0,
-                         connected=True)
+        super().__init__(gen, "modular", max_edges, edge_degree=0)
         self.kind = "operad"
         self.odd = False
 
@@ -866,7 +849,7 @@ class FeynmanTransform:
                        else list(window))
         self.gen = dual_generator_instance(source.inst, self.window)
         self.free = FreeTwisted(self.gen, "k-modular", max_edges,
-                                edge_degree=+1, connected=True)
+                                edge_degree=+1)
         self._contractions: dict = {}
 
     # -- primal one-edge contraction ------------------------------------
@@ -1118,19 +1101,10 @@ def build_master_carrier(w_space, w_form_entries, v_space, v_form_entries,
 
 def invariant_degree_basis(inst, idx, degree=0):
     """Basis of the degree-`degree` invariants of a component."""
-    handled = []
-    out = []
-    for be in inst.component(idx):
-        if be.degree != degree:
-            continue
-        avg = inst.average(idx, GradedVector.unit(be))
-        if avg.is_zero():
-            continue
-        cand = {b: c for b, c in avg.terms.items()}
-        if rank_of(handled + [cand]) > len(handled):
-            handled.append(cand)
-            out.append(avg)
-    return out
+    avgs = [inst.average(idx, GradedVector.unit(be))
+            for be in inst.component(idx) if be.degree == degree]
+    avgs = [avg for avg in avgs if not avg.is_zero()]
+    return [avgs[i] for i in independent_rows([avg.terms for avg in avgs])]
 
 
 def master_lhs(series: MasterSeries, carrier, d_fun, lam: bool = True) -> SumElement:

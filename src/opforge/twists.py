@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, MissingVertexType
-from .gradedlin import Q, rref, wedge_reorder_sign
+from .gradedlin import Q, coords_in_span, wedge_reorder_sign
 from . import graphs as G
 
 
@@ -231,7 +231,7 @@ class CycleDeterminant(TwistCocycle):
                 rows.append(moved)
             mat = []
             for vec in rows:
-                coords = _coords_in_cycle_basis(basis, vec, len(edges))
+                coords = coords_in_span(basis, vec)
                 if coords is None:
                     raise InputError("automorphism does not preserve cycles")
                 mat.append(coords)
@@ -245,24 +245,6 @@ class CycleDeterminant(TwistCocycle):
         # edges; with the fundamental-cycle bases the change of basis is
         # triangular with unit diagonal in the small cases exercised here
         return 1
-
-
-def _coords_in_cycle_basis(basis, target, width):
-    rows = [[vec.get(i, Q(0)) for i in range(width)] for vec in basis]
-    aug = [row[:] + [Q(0)] for row in rows]
-    n = len(basis)
-    mat = [[rows[i][j] for i in range(n)] + [target.get(j, Q(0))]
-           for j in range(width)]
-    red, pivots = rref(mat)
-    coords = [Q(0)] * n
-    for row in red:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        if lead == n:
-            return None
-        coords[lead] = row[n]
-    return coords
 
 
 def _det_sign(mat):

@@ -2,12 +2,16 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from opforge.gradedlin import (BE, GradedVector, GroupAction, all_perms,
                                average, compose, coords_in_span,
                                cyclic_operator_N, det_line, det_merge_sign,
-                               identity_perm, invert, in_span, koszul_sign,
-                               koszul_swap, long_cycle, perm_sign,
-                               permute_factors, rank_of, suspend,
+                               identity_perm, independent_rows, invert,
+                               in_span, koszul_sign, koszul_swap, long_cycle,
+                               perm_sign, permute_factors, rank_of, rref,
+                               suspend,
                                swap_pair_vector, tensor2, wedge_extract,
                                wedge_normalize, wedge_reorder_sign)
 
@@ -199,3 +203,117 @@ def test_linear_algebra():
     assert not in_span([{"a": Q(1), "b": Q(1)}], {"a": Q(1), "b": Q(2)})
     coords = coords_in_span([{"a": Q(2)}, {"b": Q(3)}], {"a": Q(1), "b": Q(1)})
     assert coords == [Q(1, 2), Q(1, 3)]
+    # a dependent basis: later dependent members get 0, zero members too
+    basis = [{}, {"a": 1}, {"a": 2}, {"b": Q(1, 2)}, {"a": 1, "b": 1}]
+    coords = coords_in_span(basis, {"a": 3, "b": 1})
+    assert coords == [0, 3, 0, 2, 0]
+    assert all(isinstance(c, Q) for c in coords)
+    assert independent_rows(basis) == [1, 3]
+    assert rank_of(basis) == 2
+    assert coords_in_span(basis, {"c": 1}) is None
+    assert coords_in_span(basis, {"a": 0}) == [0] * 5
+
+
+# --------------------------------------------------------------------------
+# oracle: the sparse elimination against dense rref on random matrices
+
+KEYS = ["a", "b", "c", ("d", 1), 5, "f"]
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _dense(vectors):
+    keys = sorted({k for v in vectors for k in v}, key=repr)
+    return keys, [[Q(v.get(k, 0)) for k in keys] for v in vectors]
+
+
+def _dense_rank(vectors):
+    _, mat = _dense(vectors)
+    return len(rref(mat)[1]) if mat else 0
+
+
+def _dense_greedy(vectors):
+    keep = []
+    for i, v in enumerate(vectors):
+        if _dense_rank([vectors[j] for j in keep] + [v]) > len(keep):
+            keep.append(i)
+    return keep
+
+
+def _dense_coords(basis, target):
+    """Solve basis^T x = target by reducing the augmented transpose."""
+    keys, mat = _dense(list(basis) + [target])
+    n = len(basis)
+    coords = [Q(0)] * n
+    if not keys:
+        return coords
+    aug = [[mat[i][j] for i in range(n + 1)] for j in range(len(keys))]
+    red, pivots = rref(aug)
+    if n in pivots:
+        return None
+    for row, c in zip(red, pivots):
+        coords[c] = row[n]
+    return coords
+
+
+def _combination(draw, rows):
+    out = {}
+    for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+        c = draw(COEFFS)
+        for k, x in row.items():
+            out[k] = out.get(k, Q(0)) + c * x
+    return out
+
+
+@st.composite
+def sparse_rows(draw, max_rows=7):
+    """Rows with zero rows, explicit zeros, repeats and combinations."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kinds = ["fresh", "zero", "repeat", "combination"] if rows \
+            else ["fresh", "zero"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            keys = draw(st.lists(st.sampled_from(KEYS), max_size=4,
+                                 unique=True))
+            row = {k: draw(COEFFS) for k in keys}
+        elif kind == "zero":
+            row = draw(st.sampled_from([{}, {"a": Q(0)}]))
+        elif kind == "repeat":
+            row = dict(draw(st.sampled_from(rows)))
+        else:
+            row = _combination(draw, rows)
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None)
+@given(sparse_rows())
+def test_rank_of_matches_dense_rref(rows):
+    assert rank_of(rows) == _dense_rank(rows)
+
+
+@settings(deadline=None)
+@given(sparse_rows())
+def test_independent_rows_matches_greedy_dense_selection(rows):
+    assert independent_rows(rows) == _dense_greedy(rows)
+
+
+@settings(deadline=None)
+@given(sparse_rows(), st.data())
+def test_coords_in_span_matches_dense_transposed_solve(basis, data):
+    if basis and data.draw(st.booleans()):
+        target = _combination(data.draw, basis)
+    else:
+        keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=4,
+                                  unique=True))
+        target = {k: data.draw(COEFFS) for k in keys}
+    got = coords_in_span(basis, target)
+    assert got == _dense_coords(basis, target)
+    if got is not None:
+        assert all(isinstance(c, Q) for c in got)
+        rebuilt = {}
+        for c, row in zip(got, basis):
+            for k, x in row.items():
+                rebuilt[k] = rebuilt.get(k, Q(0)) + c * x
+        assert {k: x for k, x in rebuilt.items() if x} == \
+            {k: x for k, x in target.items() if x}

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -166,6 +168,22 @@ def test_bv_suite_on_nc_free_k_modular():
     els = [single((0, 3), NC.component((0, 3))[0])]
     rep = bv_verify(NC, els)
     assert rep.ok, rep.failures
+
+
+def test_free_construction_is_freed_without_the_cycle_collector():
+    # the S_n action is cached on the instance: it must not hold the
+    # instance (and the action's cache) in a reference cycle
+    gen = trivial_modular_generator([(0, 3)])
+    gc.disable()
+    try:
+        NC = nc_extension(free_construct(gen, "modular", "K", 1))
+        x = single((0, 3), NC.component((0, 3))[0])
+        assert project_coinvariants(x, NC) == x
+        ref = weakref.ref(NC)
+        del NC
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_nc_tensor_extension_single_factor_is_base():
