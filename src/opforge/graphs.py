@@ -6,7 +6,10 @@ orbits of the involution are edges, fixed points are tails.  Optional
 decorations: genus and gamma labels on vertices, orientation on flags, and
 an injective labeling of tails.
 
-Everything here is immutable after construction and purely functional.
+A graph is immutable after construction.  The one state it carries is
+`Graph._canon`, where the first call of `canonical_key`,
+`canonical_form` or `automorphisms` caches the result of the single
+canonical search (`_search`); every later call reads that cache.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class Graph:
 
     def canonical_key(self):
         if self._canon is None:
-            self._canon = _canonicalize(self)
+            self._canon = _search(self)
         return self._canon[2]
 
     # -- serialization ----------------------------------------------------
@@ -501,58 +504,66 @@ def _refined_classes(g: Graph):
     return [sorted(classes[k]) for k in sorted(classes)]
 
 
-def _vertex_orderings(g: Graph):
-    classes = _refined_classes(g)
-    pools = [list(itertools.permutations(c)) for c in classes]
-    for choice in itertools.product(*pools):
-        yield [v for grp in choice for v in grp]
-
-
-def _flag_orderings(g: Graph, vorder):
-    """All tie-consistent global flag orders for a fixed vertex order."""
+def _flag_groups(g: Graph, vorder):
+    """The flags vertex by vertex, in runs that share a vertex, orientation,
+    label and neighbour position: a flag order may permute only inside a run."""
     vpos = {v: i for i, v in enumerate(vorder)}
-    per_vertex = []
+    runs = []
     for v in vorder:
-        fl = g.vertex_flags(v)
-
-        def key(f):
+        groups: dict = {}
+        for f in g.vertex_flags(v):
             p = g.involution[f]
             o = g.orientation[f] if g.orientation else ""
-            if p == f:
-                return (0, o, g.labels.get(f, ""), -1)
-            return (1, o, "", vpos[g.boundary[p]])
-
-        groups: dict = {}
-        for f in fl:
-            groups.setdefault(key(f), []).append(f)
-        ordered_groups = [sorted(groups[k]) for k in sorted(groups)]
-        pools = [list(itertools.permutations(grp)) for grp in ordered_groups]
-        per_vertex.append([tuple(f for grp in choice for f in grp)
-                           for choice in itertools.product(*pools)])
-    for choice in itertools.product(*per_vertex):
-        yield [f for grp in choice for f in grp]
+            key = ((0, o, g.labels.get(f, ""), -1) if p == f
+                   else (1, o, "", vpos[g.boundary[p]]))
+            groups.setdefault(key, []).append(f)
+        runs.extend(sorted(groups[k]) for k in sorted(groups))
+    return runs
 
 
-def _encode(g: Graph, vorder, forder):
-    vpos = {v: i for i, v in enumerate(vorder)}
-    fpos = {f: i for i, f in enumerate(forder)}
-    vrec = tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
-                 for v in vorder)
-    frec = tuple((vpos[g.boundary[f]],
-                  {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
-                  g.labels.get(f, "")) for f in forder)
-    erec = tuple(sorted(tuple(sorted((fpos[a], fpos[b]))) for a, b in g.edges()))
-    return (vrec, frec, erec)
+def _search(g: Graph):
+    """The one search behind canonical forms and automorphisms.
 
-
-def _canonicalize(g: Graph):
-    best = None
-    for vorder in _vertex_orderings(g):
-        for forder in _flag_orderings(g, vorder):
-            enc = _encode(g, vorder, forder)
-            if best is None or enc < best[2]:
-                best = (vorder, forder, enc)
-    return best
+    Tries every vertex order that respects the refined classes and, for
+    each, every flag order that permutes only inside the `_flag_groups`
+    runs.  An ordering's code is (vertex record, flag record, edge record).
+    The first two, the head, depend only on the vertex order, so the head
+    is built once per vertex order, a vertex order whose head exceeds the
+    best one is skipped whole, and only the edge record is recomputed per
+    flag order.  (The refined classes already fix every vertex's genus,
+    gamma and flag types, so today all vertex orders of a graph share one
+    head; comparing it keeps the search exact if the refinement changes.)
+    Returns (vorder, forder, code, ties): the first ordering with the least
+    code and every ordering whose code equals it, that one included.
+    """
+    edges = g.edges()
+    best_head = best_erec = None
+    ties = []
+    classes = _refined_classes(g)
+    for vchoice in itertools.product(*map(itertools.permutations, classes)):
+        vorder = [v for cls in vchoice for v in cls]
+        vpos = {v: i for i, v in enumerate(vorder)}
+        runs = _flag_groups(g, vorder)
+        head = (tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
+                      for v in vorder),
+                tuple((vpos[g.boundary[f]],
+                       {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
+                       g.labels.get(f, "")) for run in runs for f in run))
+        if best_head is not None and head > best_head:
+            continue
+        if best_head is None or head < best_head:
+            best_head, best_erec, ties = head, None, []
+        for choice in itertools.product(*map(itertools.permutations, runs)):
+            forder = [f for run in choice for f in run]
+            fpos = {f: i for i, f in enumerate(forder)}
+            erec = tuple(sorted(tuple(sorted((fpos[a], fpos[b])))
+                                for a, b in edges))
+            if best_erec is None or erec < best_erec:
+                best_erec, ties = erec, [(vorder, forder)]
+            elif erec == best_erec:
+                ties.append((vorder, forder))
+    vorder, forder = ties[0]
+    return vorder, forder, best_head + (best_erec,), ties
 
 
 def canonical_form(g: Graph):
@@ -562,9 +573,8 @@ def canonical_form(g: Graph):
     vertex/flag identifiers to the new ones.  Isomorphic graphs (with equal
     tail labels) produce identical canonical graphs.
     """
-    vorder, forder, enc = (g._canon if g._canon is not None
-                           else _canonicalize(g))
-    g._canon = (vorder, forder, enc)
+    g.canonical_key()
+    vorder, forder = g._canon[:2]
     vmap = {v: f"v{i}" for i, v in enumerate(vorder)}
     fmap = {f: f"f{i}" for i, f in enumerate(forder)}
     vertices = [vmap[v] for v in vorder]
@@ -588,64 +598,27 @@ def canonical_form(g: Graph):
 
 
 def automorphisms(g: Graph) -> list[tuple[dict, dict]]:
-    """All automorphisms fixing labeled tails pointwise, as (vmap, fmap)."""
-    classes = _refined_classes(g)
+    """All automorphisms fixing labeled tails pointwise, as (vmap, fmap).
+
+    Two orderings with equal codes differ by exactly one automorphism, so
+    Aut is the map from the best ordering of `_search` to each tie.  The
+    list is sorted by the vertex images, taken class by class in refined
+    order, then by the flag images, taken vertex by vertex and inside a
+    vertex by (tail, orientation, label) and identifier.
+    """
+    g.canonical_key()
+    vorder, forder, _, ties = g._canon
+    vkeys = [v for cls in _refined_classes(g) for v in cls]
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    fkeys = sorted(g.flags, key=lambda f: (
+        vidx[g.boundary[f]], g.involution[f] == f,
+        (g.orientation or {}).get(f, ""), g.labels.get(f, ""), f))
     results = []
-
-    def extend_flags(vmap):
-        per_vertex = []
-        for v in g.vertices:
-            fl_src = g.vertex_flags(v)
-            fl_dst = g.vertex_flags(vmap[v])
-            cands = []
-            grouped_dst: dict = {}
-            for f in fl_dst:
-                p = g.involution[f]
-                k = (p == f, (g.orientation or {}).get(f, ""),
-                     g.labels.get(f, ""))
-                grouped_dst.setdefault(k, []).append(f)
-            grouped_src: dict = {}
-            for f in fl_src:
-                p = g.involution[f]
-                k = (p == f, (g.orientation or {}).get(f, ""),
-                     g.labels.get(f, ""))
-                grouped_src.setdefault(k, []).append(f)
-            if set(grouped_src) != set(grouped_dst):
-                return
-            if any(len(grouped_src[k]) != len(grouped_dst[k]) for k in grouped_src):
-                return
-            keys = sorted(grouped_src)
-            pools = []
-            for k in keys:
-                src = sorted(grouped_src[k])
-                pools.append([dict(zip(src, perm))
-                              for perm in itertools.permutations(sorted(grouped_dst[k]))])
-            cands = [dict(itertools.chain.from_iterable(d.items() for d in choice))
-                     for choice in itertools.product(*pools)]
-            per_vertex.append(cands)
-        for choice in itertools.product(*per_vertex):
-            fmap = {}
-            for d in choice:
-                fmap.update(d)
-            ok = True
-            for f in g.flags:
-                if fmap[g.involution[f]] != g.involution[fmap[f]]:
-                    ok = False
-                    break
-                if g.boundary[fmap[f]] != vmap[g.boundary[f]]:
-                    ok = False
-                    break
-            if ok:
-                results.append((dict(vmap), fmap))
-
-    pools = [list(itertools.permutations(c)) for c in classes]
-    for choice in itertools.product(*pools):
-        vmap = {}
-        for cls, perm in zip(classes, choice):
-            vmap.update(dict(zip(cls, perm)))
-        if all(_vertex_invariant(g, v) == _vertex_invariant(g, vmap[v])
-               for v in g.vertices):
-            extend_flags(vmap)
+    for tv, tf in ties:
+        vmap, fmap = dict(zip(vorder, tv)), dict(zip(forder, tf))
+        results.append(({v: vmap[v] for v in vkeys},
+                        {f: fmap[f] for f in fkeys}))
+    results.sort(key=lambda a: (tuple(a[0].values()), tuple(a[1].values())))
     return results
 
 
@@ -729,7 +702,7 @@ def enumerate_graphs(cls, signature: dict, max_edges: int,
                                 vertex_ok(built, v) for v in built.vertices):
                             continue
                         canon, _ = canonical_form(built)
-                        seen.setdefault(canon.canonical_key(), canon)
+                        seen.setdefault(built.canonical_key(), canon)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -17,6 +17,7 @@ generated mechanically from the even tables plus the twist line data.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -159,8 +160,12 @@ class StructureInstance:
         return self.module.components[idx]
 
     def action(self, idx) -> GroupAction:
+        # the action and its image cache are stored on self, so it is built
+        # over a weak proxy: a closure over self would be a reference cycle,
+        # and a dropped instance would wait for a full collection
         if idx not in self.module.actions:
-            self.module.actions[idx] = self._build_action(idx)
+            self.module.actions[idx] = type(self)._build_action(
+                weakref.proxy(self), idx)
         return self.module.actions[idx]
 
     def _build_component(self, idx) -> list[BE]:

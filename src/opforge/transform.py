@@ -13,7 +13,6 @@ generators.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 
 from . import graphs as G
@@ -325,17 +324,12 @@ class FreeTwisted(StructureInstance):
         return self._index_of_graph(block.graph)
 
     def _build_action(self, idx):
-        # the action and its image cache are stored on self; a weak
-        # reference keeps that from being a cycle, so dropping the
-        # instance frees the cache at once instead of at a full collection
-        this = weakref.proxy(self)
-
         def apply_basis(p, a):
-            block, raw = this.expand(idx, a)
-            moved = this._relabel_positions(
+            block, raw = self.expand(idx, a)
+            moved = self._relabel_positions(
                 block.graph, {_position_label(i): _position_label(p[i])
                               for i in range(len(p))})
-            return this._glue(idx, moved, [(block, raw, None, None)])
+            return self._glue(idx, moved, [(block, raw, None, None)])
 
         return GroupAction(all_perms(self.arity(idx)), apply_basis)
 

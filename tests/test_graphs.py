@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (Graph, GraphClass, additive_gamma, automorphisms,
@@ -209,22 +211,36 @@ def test_canonical_form_of_relabelings():
     assert canonical_form(theta())[0] == canonical_form(g2)[0]
 
 
-def _random_graph(rng):
-    nv = rng.randrange(2, 6)
+def _random_graph(rng, max_vertices=5, max_edges=5, decorate=0.3):
+    """A random graph that carries genus, gamma, an orientation and tail
+    labels, each with probability `decorate` (decoration dicts hold
+    nonzero entries only)."""
+    nv = rng.randrange(2, max_vertices + 1)
     vertices = [f"v{i}" for i in range(nv)]
-    flags, involution, boundary = [], {}, {}
-    for e in range(rng.randrange(1, 6)):
+    flags, involution, boundary, orientation = [], {}, {}, {}
+    for e in range(rng.randrange(1, max_edges + 1)):
         a, b = rng.randrange(nv), rng.randrange(nv)
         fa, fb = f"e{e}a", f"e{e}b"
         flags += [fa, fb]
         involution[fa], involution[fb] = fb, fa
         boundary[fa], boundary[fb] = vertices[a], vertices[b]
+        orientation[fa], orientation[fb] = rng.sample(("in", "out"), 2)
     for t in range(rng.randrange(0, 3)):
         f = f"t{t}"
         flags.append(f)
         involution[f] = f
         boundary[f] = vertices[rng.randrange(nv)]
-    return Graph(vertices, flags, involution, boundary)
+        orientation[f] = rng.choice(("in", "out"))
+    tails = [f for f in flags if involution[f] == f]
+    labels = ({f: str(i) for i, f in enumerate(tails) if rng.random() < 0.7}
+              if rng.random() < decorate else {})
+    genus = ({v: rng.randrange(1, 3) for v in vertices if rng.random() < 0.3}
+             if rng.random() < decorate else {})
+    gamma = ({v: rng.randrange(1, 3) for v in vertices if rng.random() < 0.3}
+             if rng.random() < decorate else None)
+    return Graph(vertices, flags, involution, boundary, genus=genus,
+                 gamma=gamma, labels=labels,
+                 orientation=orientation if rng.random() < decorate else None)
 
 
 def _relabel(g, rng):
@@ -236,6 +252,10 @@ def _relabel(g, rng):
                  {fmap[f]: fmap[p] for f, p in g.involution.items()},
                  {fmap[f]: vmap[v] for f, v in g.boundary.items()},
                  genus={vmap[v]: k for v, k in g.genus.items()},
+                 gamma=({vmap[v]: k for v, k in g.gamma.items()}
+                        if g.gamma is not None else None),
+                 orientation=({fmap[f]: o for f, o in g.orientation.items()}
+                              if g.orientation is not None else None),
                  labels={fmap[f]: l for f, l in g.labels.items()})
 
 
@@ -252,11 +272,15 @@ def test_canonical_form_random_relabelings():
 def _brute_isomorphic(g1, g2):
     """Permutation-search isomorphism oracle, independent of canonical_form."""
     if (len(g1.vertices) != len(g2.vertices)
-            or len(g1.flags) != len(g2.flags)):
+            or len(g1.flags) != len(g2.flags)
+            or (g1.gamma is None) != (g2.gamma is None)
+            or (g1.orientation is None) != (g2.orientation is None)):
         return False
+    orient1, orient2 = g1.orientation or {}, g2.orientation or {}
     for vperm in itertools.permutations(g2.vertices):
         vmap = dict(zip(g1.vertices, vperm))
-        if any(g1.g_of(v) != g2.g_of(vmap[v]) for v in g1.vertices):
+        if any(g1.g_of(v) != g2.g_of(vmap[v])
+               or g1.gamma_of(v) != g2.gamma_of(vmap[v]) for v in g1.vertices):
             continue
         flag_pools = {}
         ok = True
@@ -278,6 +302,7 @@ def _brute_isomorphic(g1, g2):
                 fmap.update(d)
             if all(fmap[g1.involution[f]] == g2.involution[fmap[f]]
                    and g1.labels.get(f, "") == g2.labels.get(fmap[f], "")
+                   and orient1.get(f) == orient2.get(fmap[f])
                    for f in g1.flags):
                 return True
     return False
@@ -311,6 +336,102 @@ def test_automorphisms_closed_under_composition():
         for _, f2 in auts:
             comp = {k: f1[v] for k, v in f2.items()}
             assert tuple(sorted(comp.items())) in table
+
+
+def _nx_model(nx, g):
+    """Vertices and flags as nodes carrying their decorations; boundary and
+    involution as edges.  Its isomorphisms are exactly those of g."""
+    m = nx.Graph()
+    for v in g.vertices:
+        m.add_node(("v", v), genus=g.g_of(v),
+                   gamma=None if g.gamma is None else g.gamma_of(v))
+    for f in g.flags:
+        m.add_node(("f", f), orientation=(g.orientation or {}).get(f),
+                   label=g.labels.get(f))
+        m.add_edge(("f", f), ("v", g.boundary[f]), kind="boundary")
+        if g.involution[f] != f:
+            m.add_edge(("f", f), ("f", g.involution[f]), kind="involution")
+    return m
+
+
+def _redecorations(g, rng):
+    """Copies of g that keep its structure and change one decoration each:
+    a genus, a gamma, the orientation of one flag and its partner, or the
+    labels of two tails."""
+    def copy(genus=g.genus, gamma=g.gamma, orientation=g.orientation,
+             labels=g.labels):
+        return Graph(g.vertices, g.flags, g.involution, g.boundary,
+                     genus=genus, gamma=gamma, orientation=orientation,
+                     labels=labels)
+
+    v, f = rng.choice(g.vertices), rng.choice(g.flags)
+    out = [copy(genus={**g.genus, v: g.g_of(v) + 1})]
+    if g.gamma is not None:
+        out.append(copy(gamma={**g.gamma, v: g.gamma_of(v) + 1}))
+    if g.orientation is not None:
+        flip = {"in": "out", "out": "in"}
+        out.append(copy(orientation={
+            **g.orientation,
+            **{h: flip[g.orientation[h]] for h in (f, g.involution[f])}}))
+    if len(g.labels) > 1:
+        a, b = rng.sample(sorted(g.labels), 2)
+        out.append(copy(labels={**g.labels, a: g.labels[b], b: g.labels[a]}))
+    return out
+
+
+def test_search_agrees_with_networkx_model():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def matcher(m1, m2):
+        return GraphMatcher(m1, m2, node_match=lambda a, b: a == b,
+                            edge_match=lambda a, b: a == b)
+
+    rng = random.Random(5543)
+    # small decorated graphs, copies that differ from them in one
+    # decoration only, and relabelled copies of both
+    graphs = [_random_graph(rng, 3, 3, decorate=0.6) for _ in range(40)]
+    graphs += [h for g in graphs for h in _redecorations(g, rng)]
+    graphs += [_relabel(g, rng) for g in graphs]
+    models = [_nx_model(nx, g) for g in graphs]
+    for g, m in zip(graphs, models):
+        assert len(automorphisms(g)) == sum(
+            1 for _ in matcher(m, m).isomorphisms_iter())
+    sizes: dict = {}
+    for i, g in enumerate(graphs):
+        sizes.setdefault((len(g.vertices), len(g.flags)), []).append(i)
+    isomorphic_pairs = 0
+    for same_size in sizes.values():
+        for i, j in itertools.combinations(same_size, 2):
+            same = matcher(models[i], models[j]).is_isomorphic()
+            assert (canonical_form(graphs[i])[0]
+                    == canonical_form(graphs[j])[0]) == same
+            assert (graphs[i].canonical_key()
+                    == graphs[j].canonical_key()) == same
+            isomorphic_pairs += same
+    assert isomorphic_pairs >= len(graphs) // 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_automorphisms_preserve_structure_and_survive_relabelling(rng):
+    g = _random_graph(rng, 4, 4)
+    auts = automorphisms(g)
+    distinct = {(tuple(v.items()), tuple(f.items())) for v, f in auts}
+    assert len(distinct) == len(auts)
+    for vmap, fmap in auts:
+        assert sorted(vmap) == sorted(vmap.values()) == list(g.vertices)
+        assert sorted(fmap) == sorted(fmap.values()) == list(g.flags)
+        for v in g.vertices:
+            assert g.g_of(vmap[v]) == g.g_of(v)
+            assert g.gamma_of(vmap[v]) == g.gamma_of(v)
+        for f in g.flags:
+            assert fmap[g.involution[f]] == g.involution[fmap[f]]
+            assert g.boundary[fmap[f]] == vmap[g.boundary[f]]
+            assert g.labels.get(fmap[f]) == g.labels.get(f)
+            if g.orientation is not None:
+                assert g.orientation[fmap[f]] == g.orientation[f]
+    assert len(automorphisms(_relabel(g, rng))) == len(auts)
 
 
 # -- enumeration --------------------------------------------------------------

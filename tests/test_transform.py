@@ -186,6 +186,22 @@ def test_free_construction_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_modular_e_is_freed_without_the_cycle_collector():
+    # the same holds for every instance whose action is cached on itself
+    space = [BE("x", 0)]
+    form = BilinearForm(space, {("x", "x"): 1}, degree=0, symmetry="sym")
+    gc.disable()
+    try:
+        E = ModularE(space, form, max_flags=4, max_genus=1)
+        x = GradedVector.unit(E.component((0, 3))[0])
+        assert E.average((0, 3), x) == x
+        ref = weakref.ref(E)
+        del E
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_nc_tensor_extension_single_factor_is_base():
     space = [BE("x", 0), BE("y", -1)]
     form = BilinearForm(space, {("x", "y"): 1, ("y", "x"): 1}, degree=1,
