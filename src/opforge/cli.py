@@ -21,7 +21,7 @@ from .brackets import (SumElement, cyclic_bracket, lie_bracket,
 from .errors import ForgeError, InputError
 from .gradedlin import BE, GradedVector, Q
 from .smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp, ModularE,
-                       TableInstance, check_axioms)
+                       TableInstance, _ident_to_str, check_axioms)
 from .transform import (DgInstance, FeynmanTransform, MasterSeries,
                         MorphismChecker, build_master_carrier,
                         certify_dg_algebra, free_construct,
@@ -71,6 +71,32 @@ def _space_from(data) -> list[BE]:
     return [BE(i, d) for i, d in data]
 
 
+def _form_entries(data) -> dict:
+    """A form or structure map keyed "a|b", as {(a, b): coefficient}."""
+    return {tuple(k.split("|")): Q(v) for k, v in data.items()}
+
+
+def _form_from(space, spec: dict, path: str) -> BilinearForm:
+    try:
+        form = spec["form"]
+        entries = _form_entries(form["entries"])
+        degree, symmetry = form.get("degree", 0), form.get("symmetry", "sym")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed form in {path}: {exc!r}")
+    return BilinearForm(space, entries, degree=degree, symmetry=symmetry)
+
+
+def _index_pairs(data, what: str) -> list[tuple]:
+    """A list of [genus, arity] pairs of integers, as tuples."""
+    try:
+        pairs = [(g, n) for g, n in data]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a list of [g, n] pairs: {exc!r}")
+    if not all(type(x) is int for p in pairs for x in p):
+        raise InputError(f"{what} must be a list of [g, n] pairs")
+    return pairs
+
+
 def load_instance(path: str):
     data = _load_json(path)
     if "builtin" in data:
@@ -80,18 +106,10 @@ def load_instance(path: str):
         if name == "end-operad":
             return EndOperad(space, max_arity=spec.get("max_arity", 4))
         if name == "cyclic-end":
-            form = BilinearForm(space,
-                                {tuple(k.split("|")): Q(v) for k, v in
-                                 spec["form"]["entries"].items()},
-                                degree=spec["form"].get("degree", 0),
-                                symmetry=spec["form"].get("symmetry", "sym"))
+            form = _form_from(space, spec, path)
             return CyclicEnd(space, form, max_arity=spec.get("max_arity", 4))
         if name == "modular-e":
-            form = BilinearForm(space,
-                                {tuple(k.split("|")): Q(v) for k, v in
-                                 spec["form"]["entries"].items()},
-                                degree=spec["form"].get("degree", 0),
-                                symmetry=spec["form"].get("symmetry", "sym"))
+            form = _form_from(space, spec, path)
             return ModularE(space, form,
                             max_flags=spec.get("max_flags", 6),
                             max_genus=spec.get("max_genus", 3))
@@ -242,13 +260,16 @@ def cmd_bracket(args) -> int:
 
 def cmd_free(args) -> int:
     data = _load_json(args.generators)
-    types = [tuple(t) for t in data["types"]]
+    if not isinstance(data, dict) or "types" not in data:
+        raise InputError(f"{args.generators} needs 'types'")
+    types = _index_pairs(data["types"], "types")
+    report = _index_pairs(data.get("report", [[0, 3], [0, 4], [1, 1], [1, 2]]),
+                          "report")
     gen = trivial_modular_generator(types, degree=data.get("degree", 0))
     inst = free_construct(gen, args.kind, args.twist, args.bound)
     dims = {}
     cap = _max_dim_cap()
-    for idx in data.get("report", [[0, 3], [0, 4], [1, 1], [1, 2]]):
-        idx = tuple(idx)
+    for idx in report:
         comp = inst.component(idx)
         if len(comp) > cap:
             raise InputError("component exceeds FORGE_MAX_DIM")
@@ -291,36 +312,51 @@ def cmd_feynman(args) -> int:
     return PASS if report["status"] == "ok" else FAIL
 
 
-def cmd_master(args) -> int:
+def _load_master(args):
+    """The spaces, forms, differential, window and series rows of `master`."""
     struct = _load_json(args.structure)
     space = _load_json(args.space)
     series_data = _load_json(args.series)
-    w_space = _space_from(struct["w_space"])
-    w_form = {tuple(k.split("|")): Q(v)
-              for k, v in struct["w_form"].items()}
-    v_space = _space_from(space["basis"])
-    v_form = {tuple(k.split("|")): Q(v) for k, v in space["form"].items()}
-    v_diff = {}
-    for src, rows in space.get("differential", {}).items():
-        vec = GradedVector()
-        for ident, c in rows:
-            deg = next(d for i, d in space["basis"] if i == ident)
-            vec = vec + GradedVector.unit(BE(ident, deg), Q(c))
-        v_diff[src] = vec
-    window = [tuple(t) for t in struct.get("window",
-                                           [[0, 3], [0, 4], [1, 1], [1, 2]])]
+    try:
+        w_space = _space_from(struct["w_space"])
+        w_form = _form_entries(struct["w_form"])
+        v_space = _space_from(space["basis"])
+        v_form = _form_entries(space["form"])
+        degree = {be.ident: be.degree for be in v_space}
+        v_diff = {}
+        for src, rows in space.get("differential", {}).items():
+            vec = GradedVector()
+            for ident, c in rows:
+                if ident not in degree:
+                    raise InputError(f"the differential of {src!r} names "
+                                     f"{ident!r}, which is not in the basis")
+                vec = vec + GradedVector.unit(BE(ident, degree[ident]), Q(c))
+            v_diff[src] = vec
+        window = [tuple(t) for t in struct.get(
+            "window", [[0, 3], [0, 4], [1, 1], [1, 2]])]
+        terms = series_data.get("terms", {})
+        idxs = _index_pairs([json.loads(key) for key in terms], "series keys")
+        rows = {idx: [(name, Q(c)) for name, c in terms[key]]
+                for idx, key in zip(idxs, terms)}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed master input: {exc!r}")
+    return w_space, w_form, v_space, v_form, v_diff, window, rows
+
+
+def cmd_master(args) -> int:
+    w_space, w_form, v_space, v_form, v_diff, window, rows = _load_master(args)
     carrier, u_space, d_fun, forms = build_master_carrier(
         w_space, w_form, v_space, v_form, v_diff)
     terms = {}
-    for key, rows in series_data.get("terms", {}).items():
-        idx = tuple(json.loads(key))
+    for idx, named in rows.items():
+        by_name = {_ident_to_str(be.ident): be
+                   for be in carrier.component(idx)}
         vec = GradedVector()
-        for ident_str, c in rows:
-            for be in carrier.component(idx):
-                from .smodules import _ident_to_str
-                if _ident_to_str(be.ident) == ident_str:
-                    vec = vec + GradedVector.unit(be, Q(c))
-                    break
+        for name, c in named:
+            if name not in by_name:
+                raise InputError(f"series term {name} is not a basis "
+                                 f"element of component {list(idx)}")
+            vec = vec + GradedVector.unit(by_name[name], c)
         terms[idx] = vec
     series = MasterSeries(terms)
     comps = master_lhs_components(series, carrier, d_fun, window)

@@ -37,10 +37,6 @@ class FlavorMismatch(ForgeError):
     pass
 
 
-class ClassMismatch(ForgeError):
-    pass
-
-
 class KindMismatch(ForgeError):
     pass
 

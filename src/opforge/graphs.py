@@ -10,6 +10,10 @@ A graph is immutable after construction.  The one state it carries is
 `Graph._canon`, where the first call of `canonical_key`,
 `canonical_form` or `automorphisms` caches the result of the single
 canonical search (`_search`); every later call reads that cache.
+
+`enumerate_graphs` grows graphs edge by edge: an edge insertion, the
+inverse of `contract_edge`, takes each graph with k edges to those with
+k + 1, and `canonical_key()` removes the duplicates.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ class GraphClass:
 
     def __repr__(self):
         return f"GraphClass({self.kind!r})"
-
-    def contains(self, g: "Graph") -> bool:
-        return classify(g, self.kind)
 
 
 class Graph:
@@ -149,9 +150,6 @@ class Graph:
 
     def first_betti(self) -> int:
         return len(self.edges()) - len(self.vertices) + len(self.components())
-
-    def has_cycle(self) -> bool:
-        return self.first_betti() > 0
 
     def has_oriented_cycle(self) -> bool:
         if self.orientation is None:
@@ -625,220 +623,217 @@ def automorphisms(g: Graph) -> list[tuple[dict, dict]]:
 # --------------------------------------------------------------------------
 # enumeration
 
-
-def _distributions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _distributions(total - first, parts - 1):
-            yield (first,) + rest
+_CONNECTED = frozenset({
+    "rooted-tree", "planar-rooted-tree", "tree", "planar-tree",
+    "stable-graph", "directed-tree", "directed-connected-no-wheels",
+    "directed-connected-wheeled", "connected-graph"})
 
 
 def enumerate_graphs(cls, signature: dict, max_edges: int,
-                     vertex_ok=None) -> list[Graph]:
-    """One canonical representative per isomorphism class in the given class.
+                     vertex_types=None) -> list[Graph]:
+    """One canonical representative per isomorphism class in the given class,
+    generated by edge insertion (`_Insertions`) and sorted by canonical key.
 
     The signature fixes the tails: either `labels` (undirected classes) or
-    `in_labels`/`out_labels` (directed classes), plus `genus` for stable
-    graphs or `gamma` for nc classes.  `vertex_ok(graph, v)` may restrict
-    the allowed local vertex types.
+    `in_labels`/`out_labels` (directed classes), plus `genus` (then the
+    graph is connected of that total genus) or `gamma` (first Betti number
+    plus vertex gammas).  `vertex_types` is a set of allowed (genus or
+    gamma, valence) pairs; without it every vertex with a flag is allowed,
+    and a flagless one only when a genus or gamma is given.
     """
-    if isinstance(cls, GraphClass):
-        cls = cls.kind
-    directed = cls.startswith("directed") or "rooted" in cls
-    if directed:
-        in_labels = list(signature.get("in_labels", []))
-        out_labels = list(signature.get("out_labels", []))
-        tails = [("in", l) for l in in_labels] + [("out", l) for l in out_labels]
-    else:
-        tails = [(None, l) for l in signature.get("labels", [])]
-    g_target = signature.get("genus")
-    gamma_target = signature.get("gamma")
-    want_connected = cls in ("tree", "planar-tree", "rooted-tree",
-                             "planar-rooted-tree", "stable-graph",
-                             "directed-tree", "directed-connected-no-wheels",
-                             "directed-connected-wheeled", "connected-graph")
-    flag_counts = signature.get("flag_counts")
-    allow_bare = signature.get(
-        "allow_bare",
-        (g_target is not None or gamma_target is not None)
-        and not flag_counts)
-    seen = {}
-    for k in range(max_edges + 1):
-        nv_max = max(1, len(tails) + 2 * k)
-        if want_connected:
-            nv_max = min(nv_max, k + 1)
-        if flag_counts:
-            lo, hi = min(flag_counts), max(flag_counts)
-            total = len(tails) + 2 * k
-            nv_lo = max(1, -(-total // hi)) if hi else 1
-            nv_hi = total // lo if lo else nv_max
-            nv_range = range(nv_lo, min(nv_max, nv_hi) + 1)
+    return _Insertions(cls, signature, max_edges, vertex_types).run()
+
+
+class _Insertions:
+    """The graphs with k + 1 edges are those one edge insertion makes from
+    the graphs with k edges, deduplicated by `canonical_key()`.  An
+    insertion splits a vertex along a new edge, dividing its flags and
+    its genus or gamma between the ends, or adds a loop, which lowers a
+    tracked genus or gamma by one; a directed edge gets both orientations.
+    A graph stays in its level only while it can still reach the output:
+    a class closed under contraction must hold it, and the summed vertex
+    needs (`_need_table`) must fit the edges left.  An output graph has
+    max(1, tails + 2 edges) vertices at most.
+    """
+
+    def __init__(self, cls, signature, max_edges, vertex_types):
+        if isinstance(cls, GraphClass):
+            cls = cls.kind
+        if cls not in GRAPH_CLASSES:
+            raise ValueError(f"unknown graph class {cls!r}")
+        self.cls, self.max_edges = cls, max_edges
+        self.directed = cls.startswith("directed") or "rooted" in cls
+        if self.directed:
+            self.tails = ([("in", l) for l in signature.get("in_labels", [])]
+                          + [("out", l) for l in signature.get("out_labels", [])])
         else:
-            nv_range = range(1, nv_max + 1)
-        for nv in nv_range:
-            pairs = list(itertools.combinations_with_replacement(range(nv), 2))
-            for edge_ms in itertools.combinations_with_replacement(pairs, k):
-                if want_connected and not _connected_quick(nv, edge_ms, len(tails)):
+            self.tails = [(None, l) for l in signature.get("labels", [])]
+        gamma, genus = signature.get("gamma"), signature.get("genus")
+        self.field = ("gamma" if gamma is not None
+                      else "genus" if genus is not None else None)
+        self.target = {"gamma": gamma, "genus": genus}.get(self.field, 0)
+        self.connected = cls in _CONNECTED or self.field == "genus"
+        self.need, self.first = self._need_table(vertex_types)
+
+    def _need_table(self, types):
+        """need[(label, valence)]: the fewest insertions that turn such a
+        vertex into allowed ones; first[...]: the least summed need of the
+        ends one insertion leaves.  Both stop at the edge bound.  Round r
+        finds the needs equal to r: their first insertion leaves ends of
+        needs found in earlier rounds."""
+        over = self.max_edges + 1
+        kinds = [(l, n) for l in range(self.target + 1)
+                 for n in range(len(self.tails) + 2 * over)]
+        need = {(l, n): 0 for l, n in kinds
+                if ((l, n) in types if types is not None else n or self.field)}
+        for r in range(1, over + 1):
+            first = {}
+            for l, n in kinds:
+                loop = l - 1 if self.field else l
+                costs = [need.get((loop, n + 2), over) if loop >= 0 else over]
+                costs += [need.get((l - lw, n - m + 1), over)
+                          + need.get((lw, m + 1), over)
+                          for m in range(max(n, 1)) for lw in range(l + 1)]
+                if min(costs) < over:
+                    first[l, n] = min(costs)
+            need = {**{k: r for k, c in first.items() if c < r}, **need}
+        return need, first
+
+    def _local(self, g: Graph):
+        """Each vertex's label and its flags, in one pass over the flags."""
+        vflags = {v: [] for v in g.vertices}
+        for f in g.flags:
+            vflags[g.boundary[f]].append(f)
+        return {v: g.gamma_of(v) if self.field == "gamma" else g.g_of(v)
+                for v in g.vertices}, vflags
+
+    def _graph(self, vertices, flags, involution, boundary, labels,
+               orientation, tail_labels) -> Graph:
+        """A graph whose vertex labels go to the tracked decoration."""
+        dec = {v: l for v, l in labels.items() if l}
+        return Graph(vertices, flags, involution, boundary,
+                     genus=dec if self.field == "genus" else None,
+                     gamma=dec if self.field == "gamma" else None,
+                     orientation=orientation, labels=tail_labels)
+
+    def _seeds(self):
+        """The edgeless graphs: a vertex per block of tails, and tailless
+        vertices.  The block kinds come first, pruned by their needs, and
+        only then the tails."""
+        n = len(self.tails)
+        if self.connected:
+            specs = [((n, self.target),)]
+        else:
+            kinds = [(size, l, c) for (l, size), c in
+                     sorted(self.need.items(), reverse=True) if size <= n]
+            specs = _multisets(kinds, n, self.target, self.max_edges,
+                               max(1, n + 2 * self.max_edges))
+        flags = [f"t{i}" for i in range(n)]
+        orientation = ({f: o for f, (o, _) in zip(flags, self.tails)}
+                       if self.directed else None)
+        tail_labels = {f: l for f, (_, l) in zip(flags, self.tails)
+                       if l is not None}
+        for spec in specs:
+            vertices = [f"v{i}" for i in range(len(spec))]
+            for cut in _cuts(tuple(range(n)), spec):
+                yield self._graph(
+                    vertices, flags, {f: f for f in flags},
+                    {flags[i]: v for v, block in zip(vertices, cut)
+                     for i in block},
+                    {v: l for v, (_, l) in zip(vertices, spec)}, orientation,
+                    tail_labels)
+
+    def _insertions(self, level, left: int):
+        """Every graph one insertion makes from a graph of `level` whose
+        need fits `left`."""
+        ends = (("out", "in"), ("in", "out")) if self.directed else (None,)
+        for g in level:
+            labels, vflags = self._local(g)
+            need = {v: self.need.get((labels[v], len(fl)), left + 1)
+                    for v, fl in vflags.items()}
+            e, w = f"e{len(g.edges())}", f"v{len(g.vertices)}"
+            bare = set()  # flagless vertices of one label are interchangeable
+            for v, fl in vflags.items():
+                lab, rest = labels[v], sum(need.values()) - need[v]
+                if rest + self.first.get((lab, len(fl)), left + 1) > left or (
+                        not fl and lab in bare):
                     continue
-                for tail_assign in _tail_assignments(nv, edge_ms, len(tails),
-                                                     flag_counts):
-                    if not _usage_ok(nv, edge_ms, tail_assign, allow_bare):
-                        continue
-                    for built in _build_graphs(cls, nv, edge_ms, tails,
-                                               tail_assign, g_target,
-                                               gamma_target, directed):
-                        if built is None:
-                            continue
-                        try:
-                            if not classify(built, cls):
-                                continue
-                        except MissingDecoration:
-                            continue
-                        if vertex_ok is not None and not all(
-                                vertex_ok(built, v) for v in built.vertices):
-                            continue
-                        canon, _ = canonical_form(built)
-                        seen.setdefault(built.canonical_key(), canon)
-    return [seen[k] for k in sorted(seen)]
+                bare.update(() if fl else (lab,))
+                loop = lab - 1 if self.field else lab
+                made = [(v, (), loop, loop)] if loop >= 0 and rest + \
+                    self.need.get((loop, len(fl) + 2), left + 1) <= left else []
+                made += [(w, moved, lab - lw, lw)
+                         for r in range(max(len(fl), 1))
+                         for moved in itertools.combinations(fl[1:], r)
+                         for lw in range(lab + 1)
+                         if rest + self.need.get((lw, r + 1), left + 1)
+                         + self.need.get((lab - lw, len(fl) - r + 1), left + 1)
+                         <= left]
+                for u, moved, lv, lu in made:
+                    boundary = {**g.boundary, **{f: u for f in moved},
+                                e + "a": v, e + "b": u}
+                    involution = {**g.involution, e + "a": e + "b",
+                                  e + "b": e + "a"}
+                    for end in ends:
+                        yield self._graph(
+                            g.vertices + (() if u == v else (u,)),
+                            g.flags + (e + "a", e + "b"), involution,
+                            boundary, {**labels, v: lv, u: lu},
+                            end and {**g.orientation, e + "a": end[0],
+                                     e + "b": end[1]}, g.labels)
+
+    def run(self) -> list[Graph]:
+        # contracting an edge can close an oriented cycle, and a contracted
+        # loop keeps a vertex stable only by raising the label stability reads
+        closed = {"directed-no-wheels": False,
+                  "directed-connected-no-wheels": False,
+                  "stable-graph": self.field == "genus",
+                  "nc-stable-graph": self.field == "gamma"}.get(self.cls, True)
+        candidates, seen = self._seeds(), {}
+        for k in range(self.max_edges + 1):
+            level = {}  # canonical key -> canonical form
+            for h in candidates:
+                if (not closed or classify(h, self.cls)) \
+                        and h.canonical_key() not in level:
+                    level[h.canonical_key()] = canonical_form(h)[0]
+            for key, g in level.items():
+                labels, vflags = self._local(g)
+                if (1 <= len(g.vertices) <= max(1, len(self.tails) + 2 * k)
+                        and all(self.need.get((labels[v], len(fl))) == 0
+                                for v, fl in vflags.items())
+                        and classify(g, self.cls)):
+                    seen[key] = g
+            candidates = self._insertions(list(level.values()),
+                                          self.max_edges - k - 1)
+        return [seen[k] for k in sorted(seen)]
 
 
-def _tail_assignments(nv, edge_ms, n_tails, flag_counts):
-    """Assignments of the tails to vertices, pruned by allowed flag counts."""
-    if not flag_counts:
-        yield from itertools.product(range(nv), repeat=n_tails)
+def _multisets(kinds, size: int, label: int, budget: int, count: int):
+    """Non-increasing tuples of at most `count` (size, label) pairs from
+    `kinds`, a list of (size, label, need), whose sizes sum to `size`,
+    labels to `label` and needs to at most `budget`."""
+    if not size and not label:
+        yield ()
+    for i, (n, l, c) in enumerate(kinds if count else ()):
+        if n <= size and l <= label and c <= budget:
+            for rest in _multisets(kinds[i:], size - n, label - l,
+                                   budget - c, count - 1):
+                yield ((n, l),) + rest
+
+
+def _cuts(items: tuple, spec: tuple, prev=None, floor=-1):
+    """The ways to cut `items` into blocks of the sizes in `spec`, in its
+    order.  Equal entries of `spec` are interchangeable, so their blocks
+    come in increasing order of least item."""
+    if not spec:
+        yield ()
         return
-    edge_deg = [0] * nv
-    for a, b in edge_ms:
-        edge_deg[a] += 1
-        edge_deg[b] += 1
-    hi = max(flag_counts)
-    caps = [hi - d for d in edge_deg]
-    if any(c < 0 for c in caps) or sum(caps) < 0:
-        return
-    allowed = set(flag_counts)
-
-    def rec(i, counts):
-        if i == n_tails:
-            if all(edge_deg[v] + counts[v] in allowed for v in range(nv)):
-                yield ()
-            return
-        for v in range(nv):
-            if counts[v] < caps[v]:
-                counts[v] += 1
-                for rest in rec(i + 1, counts):
-                    yield (v,) + rest
-                counts[v] -= 1
-
-    yield from rec(0, [0] * nv)
-
-
-def _connected_quick(nv, edge_ms, n_tails):
-    if nv == 1:
-        return True
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edge_ms:
-        parent[find(a)] = find(b)
-    return len({find(v) for v in range(nv)}) == 1
-
-
-def _usage_ok(nv, edge_ms, tail_assign, allow_bare):
-    """Prune assignments: no silent bare vertices (unless decorations may
-    stabilize them) and first occurrences in canonical order, which removes
-    the pure vertex-renaming duplicates before canonicalization."""
-    used = [False] * nv
-    first_seen = []
-    for a, b in edge_ms:
-        for v in (a, b):
-            if not used[v]:
-                used[v] = True
-                first_seen.append(v)
-    for v in tail_assign:
-        if not used[v]:
-            used[v] = True
-            first_seen.append(v)
-    if not allow_bare and not all(used):
-        return False
-    return _is_first_use_monotone(first_seen)
-
-
-def _is_first_use_monotone(first_seen):
-    expect = 0
-    for v in first_seen:
-        if v == expect:
-            expect += 1
-        elif v > expect:
-            return False
-    return True
-
-
-def _build_graphs(cls, nv, edge_ms, tails, tail_assign, g_target,
-                  gamma_target, directed):
-    vertices = [f"v{i}" for i in range(nv)]
-    flags, involution, boundary, labels = [], {}, {}, {}
-    orientation = {} if directed else None
-    for idx, ((o, lab), vi) in enumerate(zip(tails, tail_assign)):
-        f = f"t{idx}"
-        flags.append(f)
-        involution[f] = f
-        boundary[f] = vertices[vi]
-        if lab is not None:
-            labels[f] = lab
-        if directed:
-            orientation[f] = o
-    edge_flag_pairs = []
-    for eidx, (a, b) in enumerate(edge_ms):
-        fa, fb = f"e{eidx}a", f"e{eidx}b"
-        flags += [fa, fb]
-        involution[fa], involution[fb] = fb, fa
-        boundary[fa], boundary[fb] = vertices[a], vertices[b]
-        edge_flag_pairs.append((fa, fb))
-
-    def orientations():
-        if not directed:
-            yield None
-            return
-        for bits in itertools.product(("in", "out"), repeat=len(edge_flag_pairs)):
-            od = dict(orientation)
-            for (fa, fb), o in zip(edge_flag_pairs, bits):
-                od[fa] = o
-                od[fb] = "out" if o == "in" else "in"
-            yield od
-
-    use_gamma = gamma_target is not None
-    for od in orientations():
-        base = Graph(vertices, flags, involution, boundary,
-                     orientation=od, labels=labels,
-                     gamma={} if use_gamma else None)
-        if g_target is None and gamma_target is None:
-            yield base
-            continue
-        if use_gamma:
-            leftover = gamma_target - base.first_betti()
-        else:
-            if not base.is_connected():
-                continue
-            leftover = g_target - base.first_betti()
-        if leftover < 0:
-            continue
-        for dist in _distributions(leftover, nv):
-            dec = {v: d for v, d in zip(vertices, dist) if d}
-            if use_gamma:
-                yield Graph(vertices, flags, involution, boundary,
-                            orientation=od, labels=labels, gamma=dec)
-            else:
-                yield Graph(vertices, flags, involution, boundary, genus=dec,
-                            orientation=od, labels=labels)
+    low = floor if spec[0] == prev else -1
+    for block in itertools.combinations(items, spec[0][0]):
+        if not block or block[0] > low:
+            left = tuple(x for x in items if x not in block)
+            for more in _cuts(left, spec[1:], spec[0], block and block[0]):
+                yield (block,) + more
 
 
 def graph_to_bytes(g: Graph) -> bytes:

@@ -103,29 +103,13 @@ class FreeTwisted(StructureInstance):
     def _graphs_for(self, idx):
         g, n = idx
         labels = [_position_label(i) for i in range(n)]
-        flavor = kind_flavor(self.kind)
-        gen_types = set()
-        for key in getattr(self.gen, "_components", {}):
-            gen_types.add(key)
-
-        def vertex_ok(graph, v):
-            if flavor == "nc-modular":
-                loc = (graph.gamma_of(v), len(graph.vertex_flags(v)))
-            else:
-                loc = (graph.g_of(v), len(graph.vertex_flags(v)))
-            return loc in gen_types if gen_types else True
-
-        counts = sorted({n_ for (_, n_) in gen_types}) if gen_types else None
-        if flavor == "nc-modular":
-            sig = {"labels": labels, "gamma": g}
-            cls = "graph"
+        types = set(getattr(self.gen, "_components", {})) or None
+        if kind_flavor(self.kind) == "nc-modular":
+            sig, cls = {"labels": labels, "gamma": g}, "graph"
         else:
-            sig = {"labels": labels, "genus": g}
-            cls = "connected-graph"
-        if counts:
-            sig["flag_counts"] = counts
+            sig, cls = {"labels": labels, "genus": g}, "connected-graph"
         return G.enumerate_graphs(cls, sig, self.max_edges,
-                                  vertex_ok=vertex_ok)
+                                  vertex_types=types)
 
     def _block(self, idx, graph) -> _GraphBlock:
         key = graph.canonical_key()
@@ -646,17 +630,12 @@ class FreeOperad(FreeTwisted):
         self.odd = False
 
     def _graphs_for(self, n):
-        arities = sorted(idx for idx in getattr(self.gen, "_components", {}))
-
-        def vertex_ok(graph, v):
-            ins = [f for f in graph.vertex_flags(v)
-                   if graph.orientation[f] == "in"]
-            return len(ins) in arities
-
+        # a rooted-tree vertex of in-arity a has valence a + 1
+        types = {(0, a + 1) for a in getattr(self.gen, "_components", {})}
         sig = {"in_labels": [_position_label(i) for i in range(n)],
                "out_labels": ["r"]}
         return G.enumerate_graphs("rooted-tree", sig, self.max_edges,
-                                  vertex_ok=vertex_ok)
+                                  vertex_types=types)
 
     def _index_of_graph(self, graph):
         return len(graph.tails()) - 1
@@ -724,27 +703,6 @@ class DgInstance:
                 dd = self.d(idx, self.d(idx, GradedVector.unit(be)))
                 if not dd.is_zero():
                     return False
-        return True
-
-    def check_derivation(self, pairs) -> bool:
-        """d(a o b) = da o b + (-1)^{deg a} a o db on the given samples.
-
-        This is the rule for compositions of degree 0, as in the source
-        instances. In a free odd construction, o_st inserts an edge of
-        degree `edge_degree` at the front of the edge word, so a
-        differential there satisfies the rule up to (-1)^edge_degree.
-        """
-        o = self.inst
-        for (ia, a, s, ib, b, t) in pairs:
-            lhs = self.d(o.circ_st_index(ia, ib),
-                         o.circ_st_basis(ia, a, s, ib, b, t))
-            da = self.d(ia, GradedVector.unit(a))
-            db = self.d(ib, GradedVector.unit(b))
-            sign = -1 if a.degree % 2 else 1
-            rhs = o.circ_st(ia, da, s, ib, GradedVector.unit(b), t) + \
-                o.circ_st(ia, GradedVector.unit(a), s, ib, db, t).scale(sign)
-            if lhs != rhs:
-                return False
         return True
 
 
@@ -1101,7 +1059,7 @@ def invariant_degree_basis(inst, idx, degree=0):
     return [avgs[i] for i in independent_rows([avg.terms for avg in avgs])]
 
 
-def master_lhs(series: MasterSeries, carrier, d_fun, lam: bool = True) -> SumElement:
+def master_lhs(series: MasterSeries, carrier, d_fun) -> SumElement:
     """dS + Delta S + (1/2){S (.) S}, componentwise over (g, n).
 
     The genus index realizes the lambda-grading: Delta raises it by one and

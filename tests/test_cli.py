@@ -8,6 +8,7 @@ byte-identical reports.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -44,6 +45,61 @@ MODULAR_E = {"builtin": {"name": "modular-e", "space": [["x", 0]],
                          "max_flags": 6, "max_genus": 2,
                          "form": {"entries": {"x|x": 1}, "degree": 0,
                                   "symmetry": "sym"}}}
+# E(W (x) V) for `forge master`: W = wp(1), wm(-1) with wp.wm = 1, and
+# V = x(0), y(-1) with x.y = 1 and d y = x
+MASTER_STRUCTURE = {"w_space": [["wp", 1], ["wm", -1]],
+                    "w_form": {"wp|wm": 1}}
+MASTER_SPACE = {"basis": [["x", 0], ["y", -1]], "form": {"x|y": 1},
+                "differential": {"y": [["x", 1]]}}
+
+
+def _tensor_word(genus, letters):
+    """The carrier ident of a word of (w, v, degree) letters, as a string."""
+    return json.dumps(["T", genus, [[["u", w, v], d] for w, v, d in letters]],
+                      separators=(",", ":"))
+
+
+def _genuine_series():
+    """A nonzero solution of the master equation (`solve_master_series`,
+    seed 0, seeded at (0,4)): in (0,4), wm.x and wp.x among two wp.y with
+    coefficient -1/12 when wm.x comes first and 1/12 otherwise; in (1,2),
+    wp.y twice."""
+    a, b, y = ("wm", "x", -1), ("wp", "x", 1), ("wp", "y", 0)
+    rows = []
+    for i, j in itertools.permutations(range(4), 2):
+        word = [y] * 4
+        word[i], word[j] = a, b
+        rows.append([_tensor_word(0, word), "-1/12" if i < j else "1/12"])
+    return {"terms": {"[0, 4]": rows,
+                      "[1, 2]": [[_tensor_word(1, [y, y]), "1"]]}}
+
+
+INPUTS = {
+    "dangling.json": DANGLING_FLAG,
+    "no_flags.json": NO_FLAGS,
+    "rose.json": ROSE,
+    "banana.json": BANANA,
+    "tadpole.json": TADPOLE,
+    "g03.json": {"types": [[0, 3]]},
+    "g03-11.json": {"types": [[0, 3], [1, 1]]},
+    "e.json": MODULAR_E,
+    "structure.json": MASTER_STRUCTURE,
+    "space.json": MASTER_SPACE,
+    "zero.json": {"terms": {}},
+    "genuine.json": _genuine_series(),
+    # a genus-0 word filed under (1,2), where every word has genus 1
+    "unknown-term.json": {"terms": {"[1, 2]": [
+        [_tensor_word(0, [("wp", "y", 0)] * 2), "1"]]}},
+    "key-not-json.json": {"terms": {"oops": []}},
+    "short-key.json": {"terms": {"[0]": []}},
+    "no-w-space.json": {"w_form": {"wp|wm": 1}},
+    "unknown-diff.json": {**MASTER_SPACE, "differential": {"y": [["q", 1]]}},
+    "empty.json": {},
+    "short-index.json": {"types": [[0, 3]], "report": [[0]]},
+    "e-no-form.json": {"builtin": {"name": "modular-e",
+                                   "space": [["x", 0]]}},
+}
+MASTER = ("master", "--structure", "structure.json", "--space", "space.json")
 
 
 def forge(*argv):
@@ -64,6 +120,15 @@ def write(tmp_path):
     return _write
 
 
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """Every file of INPUTS, in a fresh working directory: relative paths
+    keep the bytes of reports that print their input path (`feynman`)."""
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
 def test_graphs_canon_valid_exits_0(write):
     code, out, _ = forge("graphs", "canon", "--in", write("loop.json", LOOP))
     assert code == 0
@@ -80,21 +145,30 @@ def test_twist_verify_mismatch_exits_1():
 
 
 @pytest.mark.parametrize("argv", [
-    ("graphs", "canon", "--in", "{dangling}"),
-    ("graphs", "canon", "--in", "{no_flags}"),
-    ("graphs", "auto", "--in", "{dangling}"),
-    ("graphs", "auto", "--in", "{no_flags}"),
-    ("twist", "eval", "--expr", "K", "--in", "{dangling}"),
-    ("twist", "eval", "--expr", "K", "--in", "{no_flags}"),
-    ("graphs", "canon", "--in", "{missing}"),
+    ("graphs", "canon", "--in", "dangling.json"),
+    ("graphs", "canon", "--in", "no_flags.json"),
+    ("graphs", "auto", "--in", "dangling.json"),
+    ("graphs", "auto", "--in", "no_flags.json"),
+    ("twist", "eval", "--expr", "K", "--in", "dangling.json"),
+    ("twist", "eval", "--expr", "K", "--in", "no_flags.json"),
+    ("graphs", "canon", "--in", "missing.json"),
     ("graphs", "canon"),
     ("graphs", "enumerate", "--class", "nosuch"),
+    MASTER + ("--series", "unknown-term.json"),
+    MASTER + ("--series", "key-not-json.json"),
+    MASTER + ("--series", "short-key.json"),
+    ("master", "--structure", "no-w-space.json", "--space", "space.json",
+     "--series", "zero.json"),
+    ("master", "--structure", "structure.json", "--space",
+     "unknown-diff.json", "--series", "zero.json"),
+    ("free", "--generators", "empty.json"),
+    ("free", "--generators", "short-index.json"),
+    ("feynman", "--in", "e-no-form.json"),
+    ("verify", "axioms", "--in", "e-no-form.json"),
+    ("bracket", "jacobi", "--in", "e-no-form.json"),
 ])
-def test_bad_input_exits_2_with_a_message(argv, write, tmp_path):
-    paths = {"dangling": write("dangling.json", DANGLING_FLAG),
-             "no_flags": write("no_flags.json", NO_FLAGS),
-             "missing": str(tmp_path / "missing.json")}
-    code, out, err = forge(*[a.format(**paths) for a in argv])
+def test_bad_input_exits_2_with_a_message(argv, inputs):
+    code, out, err = forge(*argv)
     assert code == 2
     assert out == ""
     assert err.strip() and "Traceback" not in err
@@ -133,35 +207,59 @@ def test_graphs_enumerate_keeps_the_stable_alias():
 # sha256 of stdout; a change of any byte, the order of the automorphisms
 # included, is a change of the CLI contract
 PINNED_STDOUT = [
-    (("graphs", "canon", "--in", "{rose}"),
+    (("graphs", "canon", "--in", "rose.json"),
      "78362f703f1fcc5a0d210ea093f21b7baacf78ba75c96af31abb9b0d0eed83a3"),
-    (("graphs", "auto", "--in", "{rose}"),
+    (("graphs", "auto", "--in", "rose.json"),
      "3be9f72bdc9303f94c5d0e319e69ffd49e08a214d6766041c2b68049ec5dcc9e"),
-    (("twist", "eval", "--expr", "K", "--in", "{rose}"),
+    (("twist", "eval", "--expr", "K", "--in", "rose.json"),
      "ee371819210fa9ab6e3d01b59a7d5bcc2f8ea7c7c40616c908cfb434332f30e2"),
-    (("twist", "eval", "--expr", "D[s]", "--in", "{rose}"),
+    (("twist", "eval", "--expr", "D[s]", "--in", "rose.json"),
      "a55db5f923cedb3febc8f892e401b786e6656f84e77e4265987bbf73d0e24367"),
-    (("graphs", "canon", "--in", "{banana}"),
+    (("graphs", "canon", "--in", "banana.json"),
      "31a5010d6ba87c54c64c434c9aef21aca0dec51e7ef9c671ba5282a619a75d7c"),
-    (("graphs", "auto", "--in", "{banana}"),
+    (("graphs", "auto", "--in", "banana.json"),
      "3b291478f8dd27580c3c91aef92299404cb4e9d244196e1857cd2087570f81b8"),
-    (("twist", "eval", "--expr", "K", "--in", "{banana}"),
+    (("twist", "eval", "--expr", "K", "--in", "banana.json"),
      "89dc8a53c5c511cd810732b9d973e95b382eddb0347de182d4835fcd797cf912"),
-    (("twist", "eval", "--expr", "D[s]", "--in", "{banana}"),
+    (("twist", "eval", "--expr", "D[s]", "--in", "banana.json"),
      "be3ca4b7fa125f14e7e7594a417aa4f7819e0716422bd1b254aead6152ddfcd5"),
-    (("graphs", "auto", "--in", "{tadpole}"),
+    (("graphs", "auto", "--in", "tadpole.json"),
      "12421afa91230e51f30f32088683b96b9fed2bf9f99bc1fe1ced6b32bfd58890"),
     (("graphs", "enumerate", "--class", "stable", "--g", "1", "--labels", "4",
       "--max-edges", "3"),
      "2cf9bd5c24509cf04da4a371a57dd2794669287a1ad398d2734d486a9776ee38"),
+    (("graphs", "enumerate", "--class", "tree", "--labels", "3",
+      "--max-edges", "2"),
+     "2b5db7ef7dc600b687a4cd5f8e24b96c854f3c702fa11ad0efae72ecc5927396"),
+    (("graphs", "enumerate", "--class", "forest", "--labels", "3",
+      "--max-edges", "2"),
+     "f3dc7170340b1ec51e9d571c21db0ec6c48ad46a14fa59b65a93d71197efaefd"),
+    (("graphs", "enumerate", "--class", "connected-graph", "--labels", "3",
+      "--max-edges", "2"),
+     "40bfaf1431de269db1aa9d64c01d2af17b0aaf4d2aee19301ac487063f766ba6"),
+    (("graphs", "enumerate", "--class", "graph", "--labels", "3",
+      "--max-edges", "2"),
+     "e4385c3dc83fb277ee3e88dd88ecfb79d574aa0e4214cc0bc89a9856da38adc9"),
+    # the constructions on top of graph enumeration
+    (("free", "--generators", "g03.json", "--twist", "K", "--bound", "2"),
+     "ad50455bf74f125f9bc117c0bf16995c474f3fef459ab44b577ef2a1db8c2415"),
+    (("free", "--generators", "g03-11.json", "--twist", "K", "--bound", "2"),
+     "7dd140ea212651acd7c5a55c10f73ef6ba947e48e271840acf1da421913712bb"),
+    (("free", "--generators", "g03.json", "--kind", "nc-modular", "--twist",
+      "K", "--bound", "2"),
+     "fc1046d29e399a86474e77d5e3c505cc93a657bc53d0a3f3264352c1930ef34e"),
+    (("--seed", "7", "feynman", "--in", "e.json", "--max-edges", "1",
+      "--samples", "6", "--window", "[[0, 3], [1, 1]]"),
+     "07aceb9a632828f7c2284b7735ff841b1b54e9c6a5dacc25334e3e84f6411a34"),
+    (MASTER + ("--series", "zero.json"),
+     "8b76a852a72c7ed0dd7c65cb53fe584e50a6a875753cd5792ba4d829072c7f39"),
+    (MASTER + ("--series", "genuine.json"),
+     "8b76a852a72c7ed0dd7c65cb53fe584e50a6a875753cd5792ba4d829072c7f39"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
-def test_graph_verbs_print_pinned_bytes(argv, digest, write):
-    paths = {"rose": write("rose.json", ROSE),
-             "banana": write("banana.json", BANANA),
-             "tadpole": write("tadpole.json", TADPOLE)}
-    code, out, _ = forge(*[a.format(**paths) for a in argv])
+def test_graph_verbs_print_pinned_bytes(argv, digest, inputs):
+    code, out, _ = forge(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import brute_enumerate_graphs
 from opforge.errors import NotAnEdge, NotATail, NotConnected
-from opforge.graphs import (Graph, GraphClass, additive_gamma, automorphisms,
-                            canonical_form, classify, contract_edge, corolla,
-                            enumerate_graphs, graft, graph_to_bytes,
-                            merge_vertices, self_glue, total_gamma,
-                            total_genus)
+from opforge.graphs import (GRAPH_CLASSES, Graph, GraphClass, additive_gamma,
+                            automorphisms, canonical_form, classify,
+                            contract_edge, corolla, enumerate_graphs, graft,
+                            graph_to_bytes, merge_vertices, self_glue,
+                            total_gamma, total_genus)
 
 
 def theta():
@@ -500,13 +501,66 @@ def _set_partitions(items):
 
 
 def test_enumerate_rooted_trees_vs_recursive_oracle():
+    # in-arity >= 1: with 2 leaves and at most 1 edge, valence 2 or 3
     for max_edges in (0, 1):
         got = enumerate_graphs(
             "rooted-tree",
             {"in_labels": ["1", "2"], "out_labels": ["r"]}, max_edges,
-            vertex_ok=lambda g, v: sum(
-                1 for f in g.vertex_flags(v) if g.orientation[f] == "in") >= 1)
+            vertex_types={(0, 2), (0, 3)})
         assert len(got) == _count_rooted_trees_oracle(2, max_edges)
+
+
+def _oracle_signatures(cls, n_tails):
+    """The signatures the insertion enumerator is checked on: every tail
+    split for directed classes, and genus or gamma 0-2 where a class reads
+    one (gamma on the classes the nc construction uses)."""
+    if cls.startswith("directed") or "rooted" in cls:
+        return [{"in_labels": [str(i) for i in range(n_in)],
+                 "out_labels": [f"o{j}" for j in range(n_tails - n_in)]}
+                for n_in in range(n_tails + 1)]
+    labels = {"labels": [str(i) for i in range(n_tails)]}
+    sigs = [] if cls == "stable-graph" else [labels]
+    if cls in ("stable-graph", "connected-graph"):
+        sigs += [{**labels, "genus": g} for g in range(3)]
+    if cls in ("nc-stable-graph", "graph"):
+        sigs += [{**labels, "gamma": g} for g in range(3)]
+    return sigs
+
+
+@pytest.mark.parametrize("cls", GRAPH_CLASSES)
+def test_enumerate_matches_brute_force_class_by_class(cls):
+    # the oracle's cost grows with the vertices a flagless-vertex or
+    # orientation choice allows
+    n_max = 2 if cls.startswith("directed") or "graph" in cls else 3
+    for n in range(n_max + 1):
+        for sig in _oracle_signatures(cls, n):
+            for e in range(3):
+                fast = [g.to_json() for g in enumerate_graphs(cls, sig, e)]
+                slow = [g.to_json() for g in
+                        brute_enumerate_graphs(cls, sig, e)]
+                assert fast == slow, (sig, e)
+
+
+@pytest.mark.parametrize("cls, sig, types, max_edges", [
+    ("graph", {"labels": ["1", "2", "3"], "gamma": 1}, {(0, 3), (1, 1)}, 2),
+    ("graph", {"labels": ["1", "2"], "gamma": 2}, {(0, 3), (1, 1), (1, 0)},
+     2),
+    ("graph", {"labels": ["1", "2"], "gamma": 1}, {(0, 3)}, 3),
+    ("connected-graph", {"labels": ["1", "2"], "genus": 1},
+     {(0, 3), (1, 1)}, 2),
+    # the seed (1,2) needs two insertions under {(0,3)}: a loop, then a split
+    ("connected-graph", {"labels": ["1", "2"], "genus": 1}, {(0, 3)}, 3),
+    ("connected-graph", {"labels": [], "genus": 2}, {(0, 3), (2, 0)}, 3),
+    ("rooted-tree", {"in_labels": ["1", "2", "3"], "out_labels": ["r"]},
+     {(0, 3), (0, 4)}, 2),
+    ("forest", {"labels": ["1", "2", "3"]}, {(0, 1), (0, 3), (0, 0)}, 2),
+    ("graph", {"labels": ["1"]}, {(0, 3), (0, 0)}, 2),
+])
+def test_enumerate_vertex_types_match_brute_force(cls, sig, types, max_edges):
+    fast = [g.to_json() for g in enumerate_graphs(cls, sig, max_edges, types)]
+    slow = [g.to_json()
+            for g in brute_enumerate_graphs(cls, sig, max_edges, types)]
+    assert fast and fast == slow
 
 
 def _brute_enumerate_oracle(labels, genus, max_edges):

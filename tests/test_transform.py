@@ -186,6 +186,28 @@ def test_free_construction_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_graph_enumeration_leaves_no_cycle_for_the_collector():
+    # building a component enumerates graphs restricted to the generator
+    # types; nothing of it may wait for the cycle collector
+    gen = trivial_modular_generator([(0, 3), (1, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        F = free_construct(gen, "modular", "K", 2)
+        assert F.component((1, 2))
+        del F
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_free_construction_keeps_flagless_generator_corollas():
+    # F(V) contains V, so a (2,0) generator gives the decorated corolla
+    gen = trivial_modular_generator([(2, 0)])
+    F = free_construct(gen, "modular", "1", 1)
+    assert len(F.component((2, 0))) == 1
+
+
 def test_modular_e_is_freed_without_the_cycle_collector():
     # the same holds for every instance whose action is cached on itself
     space = [BE("x", 0)]
