@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KindMismatch, NotAssociativeMultiplication
-from .gradedlin import GradedVector, Q
+from .gradedlin import GradedVector, Q, cyclic_operator_N
 from .smodules import (StructureInstance, kind_flavor, kind_has_box,
                        kind_has_self, kind_is_odd)
 
@@ -182,12 +182,9 @@ class NCompatReport:
 
 def n_operator(o: StructureInstance, idx, v: GradedVector) -> GradedVector:
     """N = 1 + T + ... + T^n on a cyclic component."""
-    total = GradedVector()
-    cur = v
-    for _ in range(_glue_positions(o, idx)):
-        total = total + cur
-        cur = o.t_rot(idx, cur)
-    return total
+    if kind_flavor(o.kind) != "cyclic":
+        raise KindMismatch(o.kind)
+    return cyclic_operator_N(o.action(idx), v, idx)
 
 
 def cyclic_average(o: StructureInstance, idx, v: GradedVector) -> GradedVector:

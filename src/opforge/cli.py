@@ -20,8 +20,8 @@ from .brackets import (SumElement, cyclic_bracket, lie_bracket,
                        project_coinvariants)
 from .errors import ForgeError, InputError
 from .gradedlin import BE, GradedVector, Q
-from .smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp, ModularE,
-                       TableInstance, _ident_to_str, check_axioms)
+from .smodules import (KINDS, BilinearForm, CyclicEnd, EndOperad, EndProp,
+                       ModularE, TableInstance, _ident_to_str, check_axioms)
 from .transform import (DgInstance, FeynmanTransform, MasterSeries,
                         MorphismChecker, build_master_carrier,
                         certify_dg_algebra, free_construct,
@@ -119,7 +119,12 @@ def load_instance(path: str):
                            wheeled=spec.get("wheeled", False))
         raise InputError(f"unknown builtin {name!r}")
     if "components" in data:
-        return TableInstance(data)
+        if data.get("kind") not in KINDS:
+            raise InputError(f"{path}: kind must be one of {', '.join(KINDS)}")
+        try:
+            return TableInstance(data)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed instance table in {path}: {exc!r}")
     raise InputError("instance file needs 'builtin' or 'components'")
 
 

@@ -365,6 +365,20 @@ def average(action: GroupAction, v: GradedVector,
     return GradedVector({be: c * scale for be, c in acc.items()})
 
 
+def invariant_basis(action: GroupAction, basis: Sequence[BE],
+                    char: Callable[[Hashable], int] | None = None) -> list:
+    """A basis of the invariants spanned by averaging the basis elements.
+
+    Each element is averaged (`average`, with the character); the nonzero
+    averages independent of the earlier ones are kept, as (index in
+    `basis`, average).
+    """
+    avgs = [(i, average(action, GradedVector.unit(be), char))
+            for i, be in enumerate(basis)]
+    avgs = [(i, avg) for i, avg in avgs if not avg.is_zero()]
+    return [avgs[k] for k in independent_rows([avg.terms for _, avg in avgs])]
+
+
 def cyclic_operator_N(action: GroupAction, v: GradedVector, n: int) -> GradedVector:
     """(1 + T + ... + T^n) v for the distinguished generator T."""
     if action.t is None:

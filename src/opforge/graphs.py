@@ -161,17 +161,26 @@ class Graph:
                 succ[self.boundary[f]].append(self.boundary[p])
             else:
                 succ[self.boundary[p]].append(self.boundary[f])
+        # depth-first search: 1 while on the path, 2 when done
         color = {v: 0 for v in self.vertices}
-
-        def visit(v):
-            color[v] = 1
-            for w in succ[v]:
-                if color[w] == 1 or (color[w] == 0 and visit(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[v] == 0 and visit(v) for v in self.vertices)
+        for root in self.vertices:
+            if color[root]:
+                continue
+            color[root] = 1
+            path = [(root, iter(succ[root]))]
+            while path:
+                v, todo = path[-1]
+                for w in todo:
+                    if color[w] == 1:
+                        return True
+                    if color[w] == 0:
+                        color[w] = 1
+                        path.append((w, iter(succ[w])))
+                        break
+                else:
+                    color[v] = 2
+                    path.pop()
+        return False
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

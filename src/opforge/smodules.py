@@ -1026,7 +1026,52 @@ class TrivialCyclic(StructureInstance):
 
 
 # --------------------------------------------------------------------------
-# decoration of a graph by an S-module
+# moving tensor factors
+#
+# A word of factors, each in a component of a base instance, is moved by one
+# rule: the factors change places (with the Koszul sign), then each factor is
+# acted on by the permutation its own positions went through.  Graph vertices
+# and the rows of the PROP and nc constructions differ only in what a factor's
+# positions are.
+
+
+def transport(inst: StructureInstance, factors: Sequence[BE], moves) -> list:
+    """Expand the product of the per-factor images of a move.
+
+    moves[i] is (component index, group element), and factor i is replaced
+    by its image under that element of inst's action on that component; or
+    None, and factor i stays.  Returns [(coefficient, factors)], one entry
+    per term of the product, the factors in their input order.
+    """
+    terms = [(ONE, list(factors))]
+    for i, move in enumerate(moves):
+        if move is None:
+            continue
+        idx, g = move
+        act = inst.action(idx)
+        new_terms = []
+        for c, fs in terms:
+            for be, c2 in act.apply_basis(g, fs[i]).terms.items():
+                nf = list(fs)
+                nf[i] = be
+                new_terms.append((c * c2, nf))
+        terms = new_terms
+    return terms
+
+
+def _arrival(order: Sequence, arriving: Sequence) -> Perm | None:
+    """Position i of `arriving` goes to the place of that item in `order`;
+    None when nothing moves."""
+    p = tuple(order.index(x) for x in arriving)
+    return None if p == tuple(range(len(p))) else p
+
+
+def row_move(idx, labels):
+    """What rewrites a row factor of component idx, whose positions carry
+    `labels`, onto its sorted-label representative: (idx, the rank
+    permutation of the labels), or None when they are sorted."""
+    p = _arrival(sorted(labels), labels)
+    return None if p is None else (idx, p)
 
 
 def local_index(flavor: str, graph, v):
@@ -1055,72 +1100,72 @@ def local_flag_order(flavor: str, graph, v) -> list:
     return fl
 
 
-def decorate(src: StructureInstance, graph):
+def local_move(flavor: str, graph, v, flags):
+    """What acts on the factor at vertex v whose flags arrive in the order
+    `flags` (the image of the factor's own local flag order).
+
+    Returns (local_index, group element), or None when the flags arrive in
+    the local order.  An operadic factor is acted on by the permutation of
+    its inputs, a bimodule factor by the pair (inputs, outputs); the local
+    order lists inputs first, and moves keep orientations.
+    """
+    p = _arrival(local_flag_order(flavor, graph, v), flags)
+    if p is None:
+        return None
+    idx = local_index(flavor, graph, v)
+    if flavor == "operadic":
+        return idx, p[:idx]
+    if flavor == "bimodule":
+        n = idx[0]
+        return idx, (p[:n], tuple(k - n for k in p[n:]))
+    return idx, p
+
+
+def decoration(factors: Sequence[BE]) -> BE:
+    """The raw decoration of a graph: per-vertex factors in vertex order."""
+    return BE(("dec", tuple((x.ident, x.degree) for x in factors)),
+              sum(x.degree for x in factors))
+
+
+def decoration_factors(dec: BE) -> tuple:
+    return tuple(BE(i, d) for i, d in dec.ident[1])
+
+
+def decorate(src: StructureInstance, graph, flavor: str):
     """Tensor of components over the vertices, with the automorphism action.
+
+    `flavor` is that of the construction the graph belongs to, which need
+    not be the flavor of `src`'s kind: it picks the component at each vertex
+    (`local_index`), so a vertex of an nc graph is decorated by the
+    component of its gamma label.  An automorphism moves each factor to the
+    image vertex with the Koszul sign and acts on it by `local_move`.
 
     Returns (basis, action, vertex_order) where basis elements are tuples of
     per-vertex basis elements in the fixed vertex order.
     """
     from . import graphs as G
-    flavor = kind_flavor(src.kind)
     vorder = list(graph.vertices)
-    locs = [local_index(flavor, graph, v) for v in vorder]
-    per_vertex = [src.component(ix) for ix in locs]
-
-    def be_of(combo):
-        return BE(("dec", tuple((x.ident, x.degree) for x in combo)),
-                  sum(x.degree for x in combo))
-
-    basis = [be_of(c) for c in itertools.product(*per_vertex)]
-
-    def split(a):
-        return tuple(BE(i, d) for i, d in a.ident[1])
-
-    auts = G.automorphisms(graph)
+    per_vertex = [src.component(local_index(flavor, graph, v)) for v in vorder]
+    basis = [decoration(c) for c in itertools.product(*per_vertex)]
     vpos = {v: i for i, v in enumerate(vorder)}
-    orders = {v: local_flag_order(flavor, graph, v) for v in vorder}
+    orders = [local_flag_order(flavor, graph, v) for v in vorder]
 
     def apply_basis(phi, a):
         vmap, fmap = phi
-        combo = split(a)
-        vperm = tuple(vpos[vmap[v]] for v in vorder)
-        sign, moved = permute_factors(vperm, combo)
-        out_terms = [(Q(sign), list(moved))]
-        # local position permutations act inside each factor
-        for i, v in enumerate(vorder):
+        sign, moved = permute_factors(tuple(vpos[vmap[v]] for v in vorder),
+                                      decoration_factors(a))
+        moves = [None] * len(vorder)
+        for v, order in zip(vorder, orders):
             w = vmap[v]
-            src_order = orders[v]
-            dst_order = orders[w]
-            if flavor in ("bimodule", "operadic"):
-                ins_src = [f for f in src_order if graph.orientation[f] == "in"]
-                outs_src = [f for f in src_order if graph.orientation[f] == "out"]
-                ins_dst = [f for f in dst_order if graph.orientation[f] == "in"]
-                outs_dst = [f for f in dst_order if graph.orientation[f] == "out"]
-                pin = tuple(ins_dst.index(fmap[f]) for f in ins_src)
-                pout = tuple(outs_dst.index(fmap[f]) for f in outs_src)
-                g = pin if flavor == "operadic" else (pin, pout)
-            else:
-                g = tuple(dst_order.index(fmap[f]) for f in src_order)
-            act = src_action_for(src, locs[vpos[w]])
-            new_terms = []
-            for c, factors in out_terms:
-                img = act.apply_basis(g, factors[vpos[w]])
-                for be2, c2 in img.terms.items():
-                    nf = list(factors)
-                    nf[vpos[w]] = be2
-                    new_terms.append((c * c2, nf))
-            out_terms = new_terms
-        out = GradedVector()
-        for c, factors in out_terms:
-            out = out + GradedVector.unit(be_of(tuple(factors)), c)
-        return out
+            moves[vpos[w]] = local_move(flavor, graph, w,
+                                        [fmap[f] for f in order])
+        acc: dict = {}
+        for c, fs in transport(src, moved, moves):
+            be = decoration(fs)
+            acc[be] = acc.get(be, ZERO) + sign * c
+        return GradedVector(acc)
 
-    action = GroupAction(auts, apply_basis)
-    return basis, action, vorder
-
-
-def src_action_for(src: StructureInstance, idx) -> GroupAction:
-    return src.action(idx)
+    return basis, GroupAction(G.automorphisms(graph), apply_basis), vorder
 
 
 # --------------------------------------------------------------------------
@@ -1490,7 +1535,7 @@ class TableInstance(StructureInstance):
             idx = self._parse_idx(idxs)
             self._basis[idx] = [BE(r["id"], r["degree"])
                                 for r in comp["basis"]]
-            self._gen_matrices[idx] = comp["generators"]
+            self._gen_matrices[idx] = [g["matrix"] for g in comp["generators"]]
         self._tables = {}
         for rec in data["compositions"]:
             if rec["op"] == "circ_i":
@@ -1527,8 +1572,8 @@ class TableInstance(StructureInstance):
         size = n + 1 if fl == "cyclic" else n
         gens = self._gen_matrices[idx]
 
-        def matrix_apply(gen_rec, be):
-            rows = gen_rec["matrix"].get(_ident_to_str(be.ident) if not
+        def matrix_apply(matrix, be):
+            rows = matrix.get(_ident_to_str(be.ident) if not
                                          isinstance(be.ident, str) else be.ident, [])
             out = GradedVector()
             for ident, c in rows:
@@ -1536,7 +1581,6 @@ class TableInstance(StructureInstance):
             return out
 
         trans = {i: gens[i] for i in range(max(0, size - 1))}
-        rot = gens[-1] if fl == "cyclic" else None
 
         def apply_basis(p, be):
             word = _perm_word(p)
@@ -1545,20 +1589,9 @@ class TableInstance(StructureInstance):
                 v = v.map_basis(lambda b: matrix_apply(trans[i], b))
             return v
 
-        elements = all_perms(size)
-        act = GroupAction(elements, apply_basis)
-        if fl == "cyclic":
-            t = invert(long_cycle(size))
-            base_apply = apply_basis
-
-            def apply_with_rot(p, be):
-                # decompose p = t^k s with s fixing nothing special; since
-                # the full group is generated by transpositions alone, the
-                # transposition word already covers every element
-                return base_apply(p, be)
-
-            act = GroupAction(elements, apply_with_rot, t=t)
-        return act
+        # the transpositions generate the whole group, the rotation included
+        t = invert(long_cycle(size)) if fl == "cyclic" else None
+        return GroupAction(all_perms(size), apply_basis, t=t)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         key = ("circ", ai, a.ident, i, bi, b.ident)

@@ -20,12 +20,12 @@ from .brackets import SumElement, cyclic_bracket, delta
 from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms, average,
-                        coords_in_span, independent_rows, invert, koszul_sign,
+                        coords_in_span, invariant_basis, invert, koszul_sign,
                         permute_factors, wedge_reorder_sign)
-from .smodules import (StructureInstance, contract_word, decorate,
-                       kind_flavor, kind_has_box, kind_is_odd,
-                       local_flag_order, local_index, rotation_order,
-                       rotation_order2)
+from .smodules import (StructureInstance, contract_word, decorate, decoration,
+                       decoration_factors, kind_flavor, kind_has_box,
+                       kind_is_odd, local_flag_order, local_index, local_move,
+                       rotation_order, rotation_order2, row_move, transport)
 
 
 class GeneratorInstance(StructureInstance):
@@ -115,19 +115,13 @@ class FreeTwisted(StructureInstance):
         key = graph.canonical_key()
         if key in self._by_key:
             return self._by_key[key]
-        basis, aut, vorder = decorate(self.gen, graph)
-        twist_char = self._twist_char(graph)
-        # average with the twist character folded in; keep the averages
-        # that are independent of the earlier ones
-        avgs = [(be, average(aut, GradedVector.unit(be), twist_char))
-                for be in basis]
-        avgs = [(be, avg) for be, avg in avgs if not avg.is_zero()]
-        keep = independent_rows([{b.ident: c for b, c in avg.terms.items()}
-                                 for _, avg in avgs])
-        inv_vectors = [dict(avgs[i][1].terms) for i in keep]
+        basis, aut, _ = decorate(self.gen, graph, kind_flavor(self.kind))
+        # the twist character is folded into the averages
+        invs = invariant_basis(aut, basis, self._twist_char(graph))
+        inv_vectors = [dict(avg.terms) for _, avg in invs]
         shift = self.edge_degree * len(graph.edges())
-        inv_bes = [BE(("fc", key, j), avgs[i][0].degree + shift)
-                   for j, i in enumerate(keep)]
+        inv_bes = [BE(("fc", key, j), basis[i].degree + shift)
+                   for j, (i, _) in enumerate(invs)]
         block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors)
         self._by_key[key] = block
         return block
@@ -206,13 +200,14 @@ class FreeTwisted(StructureInstance):
             vto = {v: vnew[vmap[v] if vmap else v] for v in graph.vertices}
             fto = {f: fnew[fmap[f] if fmap else f] for f in graph.flags}
             word += [tuple(sorted((fto[a], fto[b]))) for a, b in graph.edges()]
-            slots = [(vto[v],
-                      [fto[f] for f in local_flag_order(flavor, graph, v)])
+            names = [vto[v] for v in graph.vertices]
+            moves = [local_move(flavor, canon, vto[v],
+                                [fto[f] for f in local_flag_order(flavor,
+                                                                  graph, v)])
                      for v in graph.vertices]
-            names = [v for v, _ in slots]
-            moved.append([(dec, c, (names, _transport(self.gen, flavor, canon,
-                                                      slots, _factors(dec))))
-                          for dec, c in raw.terms.items()])
+            moved.append([(dec, c, (names, transport(
+                self.gen, decoration_factors(dec), moves)))
+                for dec, c in raw.terms.items()])
         wsign = 1
         if self.odd:
             wsign = wedge_reorder_sign(
@@ -322,37 +317,6 @@ def _flag_labelled(graph, label):
     return next(f for f, l in graph.labels.items() if l == label)
 
 
-def _factors(dec: BE) -> tuple:
-    """The per-vertex factors of a raw decoration ("dec", factors)."""
-    return tuple(BE(i, d) for i, d in dec.ident[1])
-
-
-def _transport(inst, flavor, canon, slots, factors) -> list:
-    """Move decoration factors onto vertices of a canonical graph.
-
-    slots[i] is (vertex of canon, canon flags of factor i in the factor's
-    own position order); where that order differs from the local flag
-    order at the vertex, factor i is moved by the action of `inst`.
-    Returns [(coeff, factors)], the factors still in slot order.
-    """
-    terms = [(Q(1), list(factors))]
-    for slot, (v, flags) in enumerate(slots):
-        dst_order = local_flag_order(flavor, canon, v)
-        p = tuple(dst_order.index(f) for f in flags)
-        if p == tuple(range(len(p))):
-            continue
-        act = inst.action(local_index(flavor, canon, v))
-        new_terms = []
-        for c, fs in terms:
-            img = act.apply_basis(p, fs[slot])
-            for be2, c2 in img.terms.items():
-                nf = list(fs)
-                nf[slot] = be2
-                new_terms.append((c * c2, nf))
-        terms = new_terms
-    return terms
-
-
 def _merge_into(acc: dict, canon, parts, scale) -> None:
     """Interleave transported parts into canonical vertex order.
 
@@ -369,8 +333,7 @@ def _merge_into(acc: dict, canon, parts, scale) -> None:
             coeff *= c
             seq.extend(fs)
         sign, moved = permute_factors(perm, tuple(seq))
-        be = BE(("dec", tuple((x.ident, x.degree) for x in moved)),
-                sum(x.degree for x in moved))
+        be = decoration(moved)
         acc[be] = acc.get(be, Q(0)) + coeff * sign
 
 
@@ -466,27 +429,17 @@ class NcTensorExtension(StructureInstance):
         gamma, n = idx
 
         def apply_basis(p, a):
-            blocks = self._split(a)
-            new_blocks = []
-            for bidx, b, labels in blocks:
-                new_labels = tuple(p[l] for l in labels)
-                order = sorted(range(len(new_labels)),
-                               key=lambda i: new_labels[i])
-                local = tuple(order.index(i) for i in range(len(new_labels)))
-                img = self.base.act(bidx, local, GradedVector.unit(b))
-                new_blocks.append((bidx, img, tuple(sorted(new_labels))))
+            blocks = [(bidx, b, tuple(p[l] for l in labels))
+                      for bidx, b, labels in self._split(a)]
+            moves = [row_move(bidx, labels) for bidx, _, labels in blocks]
             out = GradedVector()
-            for combo in itertools.product(
-                    *[[(b2, c2) for b2, c2 in img.terms.items()]
-                      for _, img, _ in new_blocks]):
-                coeff = Q(1)
-                blocks2 = []
-                for (bidx, _, labels), (b2, c2) in zip(new_blocks, combo):
-                    coeff *= c2
-                    blocks2.append((bidx, b2, labels))
-                sign, norm = self.normalize(blocks2)
+            for c, factors in transport(self.base, [b for _, b, _ in blocks],
+                                        moves):
+                sign, norm = self.normalize(
+                    [(bidx, b2, tuple(sorted(labels)))
+                     for (bidx, _, labels), b2 in zip(blocks, factors)])
                 if sign:
-                    out = out + GradedVector.unit(self._be(norm), sign * coeff)
+                    out = out + GradedVector.unit(self._be(norm), sign * c)
             return out
 
         return GroupAction(all_perms(n), apply_basis)
@@ -760,7 +713,7 @@ def _dual_action(o, idx, basis):
 
 
 def _group_inverse(o, idx, g):
-    if isinstance(g, tuple) and g and isinstance(g[0], int):
+    if isinstance(g, tuple) and all(isinstance(x, int) for x in g):
         return invert(g)
     if isinstance(g, tuple) and len(g) == 2:
         return (invert(g[0]), invert(g[1]))
@@ -793,6 +746,9 @@ class FeynmanTransform:
 
     def __init__(self, source: DgInstance, window, max_edges: int,
                  close_window: bool = True):
+        if kind_flavor(source.inst.kind) != "modular":
+            raise UnsupportedKind(f"the Feynman transform of a {source.inst.kind}"
+                                  " instance: the source must be modular")
         if getattr(source.inst, "form", None) is not None \
                 and source.inst.form.degree % 2:
             raise NonInvertibleTwist("transform needs an even-degree gluing")
@@ -803,6 +759,7 @@ class FeynmanTransform:
         self.free = FreeTwisted(self.gen, "k-modular", max_edges,
                                 edge_degree=+1)
         self._contractions: dict = {}
+        self._dual_diffs: dict = {}  # loc -> primal ident -> d* image
 
     # -- primal one-edge contraction ------------------------------------
 
@@ -877,10 +834,11 @@ class FeynmanTransform:
              [fnew[f] for f in local_flag_order(flavor, ghat, old_vs[i])])
             for i in others]
         names = [v for v, _ in slots]
+        moves = [local_move(flavor, canon, v, flags) for v, flags in slots]
         rest = [dec[i] for i in others]
         acc: dict = {}
         for gbe, gc in glued.terms.items():
-            terms = _transport(o, flavor, canon, slots, [gbe] + rest)
+            terms = transport(o, [gbe] + rest, moves)
             _merge_into(acc, canon, [(names, terms)], sign0 * gc)
         return GradedVector(acc)
 
@@ -945,7 +903,7 @@ class FeynmanTransform:
                 locs = [local_index(flavor, block.graph, w)
                         for w in block.graph.vertices]
                 for dec, cd in raw.terms.items():
-                    factors = _factors(dec)
+                    factors = decoration_factors(dec)
                     for slot in range(len(factors)):
                         img = self._dual_diff(locs[slot], factors[slot])
                         if img.is_zero():
@@ -953,10 +911,8 @@ class FeynmanTransform:
                         sign = (-1) ** (nE + sum(f.degree for f
                                                  in factors[:slot]))
                         for nf, c2 in img.terms.items():
-                            nfs = factors[:slot] + (nf,) + factors[slot + 1:]
-                            nbe = BE(("dec",
-                                      tuple((x.ident, x.degree) for x in nfs)),
-                                     sum(x.degree for x in nfs))
+                            nbe = decoration(
+                                factors[:slot] + (nf,) + factors[slot + 1:])
                             acc[nbe] = acc.get(nbe, Q(0)) + c * cd * c2 * sign
             for block, acc in per_block.values():
                 raw_img = GradedVector(acc)
@@ -973,16 +929,18 @@ class FeynmanTransform:
         moving d past the edges and the earlier factors is applied in
         `d_internal`.
         """
-        o = self.source.inst
-        primal_ident = phi.ident[1]
-        out = GradedVector()
-        for b in o.component(loc):
-            img = self.source.d(loc, GradedVector.unit(b))
-            for b2, c in img.terms.items():
-                if b2.ident == primal_ident:
-                    out = out + GradedVector.unit(
-                        BE(("dl", b.ident), -b.degree), -c)
-        return out
+        if loc not in self._dual_diffs:
+            # d* of every dual of the component, by the primal's ident
+            by_primal: dict = {}
+            for b in self.source.inst.component(loc):
+                dual = BE(("dl", b.ident), -b.degree)
+                img = self.source.d(loc, GradedVector.unit(b))
+                for b2, c in img.terms.items():
+                    acc = by_primal.setdefault(b2.ident, {})
+                    acc[dual] = acc.get(dual, Q(0)) - c
+            self._dual_diffs[loc] = {ident: GradedVector(acc)
+                                     for ident, acc in by_primal.items()}
+        return self._dual_diffs[loc].get(phi.ident[1], GradedVector())
 
     def d(self, x: SumElement) -> SumElement:
         return self.d_internal(x) + self.d_edge(x)
@@ -1053,10 +1011,9 @@ def build_master_carrier(w_space, w_form_entries, v_space, v_form_entries,
 
 def invariant_degree_basis(inst, idx, degree=0):
     """Basis of the degree-`degree` invariants of a component."""
-    avgs = [inst.average(idx, GradedVector.unit(be))
-            for be in inst.component(idx) if be.degree == degree]
-    avgs = [avg for avg in avgs if not avg.is_zero()]
-    return [avgs[i] for i in independent_rows([avg.terms for avg in avgs])]
+    return [avg for _, avg in invariant_basis(
+        inst.action(idx),
+        [be for be in inst.component(idx) if be.degree == degree])]
 
 
 def master_lhs(series: MasterSeries, carrier, d_fun) -> SumElement:
@@ -1319,133 +1276,57 @@ def solve_master_series(carrier, d_fun, window, seed_term=None, seed=0,
 # the PROP generated by an operad, and the free nc-operad
 
 
-class PropFromOperad(StructureInstance):
-    """Induced bimodule: rows of operad elements with distributed inputs.
+class _RowWords(StructureInstance):
+    """Words of rows over an operad.
 
-    A basis element of component (n, m) is an m-tuple of operad basis
-    elements together with an ordered block of input labels for each factor,
-    the blocks partitioning {0..n-1}.  Restriction to (n, 1) recovers the
-    operad.
+    A row is an operad basis element together with an ordered block of
+    input labels, one label per input; the blocks of a word partition the
+    inputs.  A row is stored on its sorted labels: a row whose labels
+    arrive unsorted is rewritten by the base action (`row_move`).
     """
 
-    kind = "prop"
+    row_tag = ""
 
-    def __init__(self, base: StructureInstance, max_in: int = 4,
-                 max_out: int = 3):
+    def __init__(self, base: StructureInstance):
         if kind_flavor(base.kind) != "operadic":
             raise UnsupportedKind(base.kind)
         self.base = base
-        self.max_in = max_in
-        self.max_out = max_out
         super().__init__()
 
     def _be(self, rows):
-        ident = ("pr", tuple(((b.ident, b.degree), labels)
-                             for b, labels in rows))
+        ident = (self.row_tag, tuple(((b.ident, b.degree), labels)
+                                     for b, labels in rows))
         return BE(ident, sum(b.degree for b, _ in rows))
 
     def _split(self, a: BE):
         return [(BE(i, d), labels) for (i, d), labels in a.ident[1]]
 
-    def _build_component(self, idx):
-        n, m = idx
-        if n > self.max_in or m > self.max_out:
-            raise TruncationExceeded(str(idx))
+    def _row_words(self, n, m):
+        """The rows of every word of m rows on the inputs 0..n-1."""
         arities = sorted(k for k in getattr(self.base, "_components", {})) \
             or list(range(0, n + 1))
-        out = []
         for sizes in itertools.product(arities, repeat=m):
             if sum(sizes) != n:
                 continue
             for assign in _ordered_partitions_sized(list(range(n)), sizes):
                 for combo in itertools.product(
                         *[self.base.component(k) for k in sizes]):
-                    rows = list(zip(combo, [tuple(p) for p in assign]))
-                    out.append(self._be(rows))
-        return out
+                    yield list(zip(combo, [tuple(p) for p in assign]))
 
-    def _build_action(self, idx):
-        n, m = idx
+    def _sorted_rows(self, rows) -> GradedVector:
+        """The word of the rows, each rewritten onto its sorted labels."""
+        moves = [row_move(len(labels), labels) for _, labels in rows]
+        labels = [tuple(sorted(ls)) for _, ls in rows]
+        acc: dict = {}
+        for c, factors in transport(self.base, [x for x, _ in rows], moves):
+            be = self._be(list(zip(factors, labels)))
+            acc[be] = acc.get(be, Q(0)) + c
+        return GradedVector(acc)
 
-        def apply_basis(g, a):
-            p, q = g
-            rows = self._split(a)
-            # outputs permute the factors with Koszul
-            perm = tuple(q[i] for i in range(m))
-            factors = [b for b, _ in rows]
-            sign, _ = permute_factors(perm, tuple(factors))
-            moved = [None] * m
-            for i, row in enumerate(rows):
-                moved[q[i]] = row
-            out = GradedVector()
-            # inputs act inside the blocks through the base action
-            terms = [(Q(sign), [])]
-            for b, labels in moved:
-                new_labels = tuple(p[l] for l in labels)
-                order = sorted(range(len(new_labels)),
-                               key=lambda i: new_labels[i])
-                local = tuple(order.index(i) for i in range(len(new_labels)))
-                img = self.base.act(len(labels), local, GradedVector.unit(b))
-                new_terms = []
-                for c, acc in terms:
-                    for b2, c2 in img.terms.items():
-                        new_terms.append((c * c2,
-                                          acc + [(b2, tuple(sorted(new_labels)))]))
-                terms = new_terms
-            for c, acc in terms:
-                out = out + GradedVector.unit(self._be(acc), c)
-            return out
-
-        elements = [(p, q) for p in all_perms(n) for q in all_perms(m)]
-        return GroupAction(elements, apply_basis)
-
-    def circ_st_basis(self, ai, a, i, bi, b, j) -> GradedVector:
-        """Dioperadic gluing: input position i of a to output j of b."""
-        na, ma = ai
-        nb, mb = bi
-        ridx = self.circ_st_index(ai, bi)
-        if ridx[0] > self.max_in or ridx[1] > self.max_out:
-            raise TruncationExceeded(str(ridx))
-        rows_a = self._split(a)
-        rows_b = self._split(b)
-        p, slot = self._locate(rows_a, i)
-        target, labels_t = rows_a[p]
-        src, labels_s = rows_b[j]
-        # operadic insertion into the owning factor
-        glued = self.base.circ(len(labels_t), GradedVector.unit(target),
-                               slot + 1, len(labels_s),
-                               GradedVector.unit(src))
-        # koszul: src moves past the factors after row p and b's rows before j
-        passed = sum(x.degree for x, _ in rows_a[p + 1:]) \
-            + sum(x.degree for x, _ in rows_b[:j])
-        sign = -1 if (src.degree % 2 and passed % 2) else 1
-        # relabel: a-labels keep 0..na-1 minus i (shifted), b-labels shift up
-        lmap_a = {}
-        new = 0
-        for l in range(na):
-            if l == i:
-                continue
-            lmap_a[l] = new
-            new += 1
-
-        def lmap_b(l):
-            return na - 1 + l
-
-        out = GradedVector()
-        for gb, gc in glued.terms.items():
-            new_labels = (tuple(lmap_a[l] for l in labels_t[:slot])
-                          + tuple(lmap_b(l) for l in labels_s)
-                          + tuple(lmap_a[l] for l in labels_t[slot + 1:]))
-            new_rows = ([(x, tuple(lmap_a[l] for l in ls))
-                         for x, ls in rows_a[:p]]
-                        + [(gb, new_labels)]
-                        + [(x, tuple(lmap_a[l] for l in ls))
-                           for x, ls in rows_a[p + 1:]]
-                        + [(x, tuple(lmap_b(l) for l in ls))
-                           for k, (x, ls) in enumerate(rows_b) if k != j])
-            for c, rows in _normalize_rows(self.base, new_rows):
-                out = out + GradedVector.unit(self._be(rows), gc * sign * c)
-        return out
+    def _relabeled(self, rows, p) -> GradedVector:
+        """The word with input l renamed p[l]."""
+        return self._sorted_rows([(x, tuple(p[l] for l in ls))
+                                  for x, ls in rows])
 
     @staticmethod
     def _locate(rows, pos):
@@ -1453,6 +1334,88 @@ class PropFromOperad(StructureInstance):
             if pos in labels:
                 return p, labels.index(pos)
         raise ValueError(pos)
+
+    def _insert(self, na, rows_a, i, rows_b, j) -> GradedVector:
+        """Insert row j of b into input i (0-based) of a, which has na inputs.
+
+        The row of a owning input i takes the operadic composite; a's later
+        inputs move down by one, b's inputs follow a's, and b's other rows
+        follow a's rows.
+        """
+        p, slot = self._locate(rows_a, i)
+        target, labels_t = rows_a[p]
+        src, labels_s = rows_b[j]
+        glued = self.base.circ(len(labels_t), GradedVector.unit(target),
+                               slot + 1, len(labels_s),
+                               GradedVector.unit(src))
+        # koszul: src moves past the factors after row p and b's rows before j
+        passed = sum(x.degree for x, _ in rows_a[p + 1:]) \
+            + sum(x.degree for x, _ in rows_b[:j])
+        sign = -1 if (src.degree % 2 and passed % 2) else 1
+
+        def of_a(labels):
+            return tuple(l if l < i else l - 1 for l in labels)
+
+        def of_b(labels):
+            return tuple(na - 1 + l for l in labels)
+
+        out = GradedVector()
+        for gb, gc in glued.terms.items():
+            new_labels = (of_a(labels_t[:slot]) + of_b(labels_s)
+                          + of_a(labels_t[slot + 1:]))
+            new_rows = ([(x, of_a(ls)) for x, ls in rows_a[:p]]
+                        + [(gb, new_labels)]
+                        + [(x, of_a(ls)) for x, ls in rows_a[p + 1:]]
+                        + [(x, of_b(ls))
+                           for k, (x, ls) in enumerate(rows_b) if k != j])
+            out = out + self._sorted_rows(new_rows).scale(gc * sign)
+        return out
+
+
+class PropFromOperad(_RowWords):
+    """Induced bimodule: rows of operad elements with distributed inputs.
+
+    A basis element of component (n, m) is a word of m rows on the inputs
+    0..n-1.  Restriction to (n, 1) recovers the operad.
+    """
+
+    kind = "prop"
+    row_tag = "pr"
+
+    def __init__(self, base: StructureInstance, max_in: int = 4,
+                 max_out: int = 3):
+        self.max_in = max_in
+        self.max_out = max_out
+        super().__init__(base)
+
+    def _build_component(self, idx):
+        n, m = idx
+        if n > self.max_in or m > self.max_out:
+            raise TruncationExceeded(str(idx))
+        return [self._be(rows) for rows in self._row_words(n, m)]
+
+    def _build_action(self, idx):
+        n, m = idx
+
+        def apply_basis(g, a):
+            p, q = g
+            rows = self._split(a)
+            # outputs move the rows with the Koszul sign, inputs act inside
+            sign = koszul_sign(q, [b.degree for b, _ in rows])
+            moved = [None] * m
+            for i, row in enumerate(rows):
+                moved[q[i]] = row
+            return self._relabeled(moved, p).scale(sign)
+
+        elements = [(p, q) for p in all_perms(n) for q in all_perms(m)]
+        return GroupAction(elements, apply_basis)
+
+    def circ_st_basis(self, ai, a, i, bi, b, j) -> GradedVector:
+        """Dioperadic gluing: input position i of a to output j of b."""
+        ridx = self.circ_st_index(ai, bi)
+        if ridx[0] > self.max_in or ridx[1] > self.max_out:
+            raise TruncationExceeded(str(ridx))
+        return self._insert(ai[0], self._split(a), i, self._split(b), j)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         na, ma = ai
@@ -1486,56 +1449,23 @@ def _ordered_partitions_sized(items, sizes):
             yield [sorted(block)] + tail
 
 
-def _normalize_rows(base, rows):
-    """Rewrite each row onto its sorted-label representative.
-
-    A row (x, labels) equals (x transported by the sorting permutation,
-    sorted labels) in the slot-order quotient; returns a GradedVector over
-    normalized row tuples.
-    """
-    terms = [(Q(1), [])]
-    for x, labels in rows:
-        target = tuple(sorted(labels))
-        if target == tuple(labels):
-            terms = [(c, acc + [(x, target)]) for c, acc in terms]
-            continue
-        p = tuple(target.index(l) for l in labels)
-        img = base.act(len(labels), p, GradedVector.unit(x))
-        new_terms = []
-        for c, acc in terms:
-            for b2, c2 in img.terms.items():
-                new_terms.append((c * c2, acc + [(b2, target)]))
-        terms = new_terms
-    return terms
-
-
 def prop_generated_by_operad(base: StructureInstance, max_in=4,
                              max_out=3) -> PropFromOperad:
     return PropFromOperad(base, max_in, max_out)
 
 
-class NcOperad(StructureInstance):
-    """Free nc-extension of an operad: tensor rows with box = concatenation
-    and insertion summed over the factor roots."""
+class NcOperad(_RowWords):
+    """Free nc-extension of an operad: words of up to max_factors rows, with
+    box = concatenation and insertion summed over the factor roots."""
 
     kind = "nc-operad"
+    row_tag = "nco"
 
     def __init__(self, base: StructureInstance, max_in: int = 5,
                  max_factors: int = 3):
-        if kind_flavor(base.kind) != "operadic":
-            raise UnsupportedKind(base.kind)
-        self.base = base
         self.max_in = max_in
         self.max_factors = max_factors
-        super().__init__()
-
-    def _be(self, rows):
-        ident = ("nco", tuple(((b.ident, b.degree), labels)
-                              for b, labels in rows))
-        return BE(ident, sum(b.degree for b, _ in rows))
-
-    def _split(self, a: BE):
-        return [(BE(i, d), labels) for (i, d), labels in a.ident[1]]
+        super().__init__(base)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         rows_a = self._split(a)
@@ -1547,43 +1477,10 @@ class NcOperad(StructureInstance):
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         """Insert b into slot i of a, summing over the roots of b's rows."""
-        rows_a = self._split(a)
-        rows_b = self._split(b)
-        p, slot = PropFromOperad._locate(rows_a, i - 1)
-        target, labels_t = rows_a[p]
+        rows_a, rows_b = self._split(a), self._split(b)
         out = GradedVector()
-        lmap_a = {}
-        new = 0
-        for l in range(ai):
-            if l == i - 1:
-                continue
-            lmap_a[l] = new
-            new += 1
-
-        def lmap_b(l):
-            return ai - 1 + l
-
-        for r, (src, labels_s) in enumerate(rows_b):
-            glued = self.base.circ(len(labels_t), GradedVector.unit(target),
-                                   slot + 1, len(labels_s),
-                                   GradedVector.unit(src))
-            passed = sum(x.degree for x, _ in rows_a[p + 1:]) \
-                + sum(x.degree for x, _ in rows_b[:r])
-            sign = -1 if (src.degree % 2 and passed % 2) else 1
-            for gb, gc in glued.terms.items():
-                new_labels = (tuple(lmap_a[l] for l in labels_t[:slot])
-                              + tuple(lmap_b(l) for l in labels_s)
-                              + tuple(lmap_a[l] for l in labels_t[slot + 1:]))
-                new_rows = ([(x, tuple(lmap_a[l] for l in ls))
-                             for x, ls in rows_a[:p]]
-                            + [(gb, new_labels)]
-                            + [(x, tuple(lmap_a[l] for l in ls))
-                               for x, ls in rows_a[p + 1:]]
-                            + [(x, tuple(lmap_b(l) for l in ls))
-                               for k, (x, ls) in enumerate(rows_b) if k != r])
-                for c, rows in _normalize_rows(self.base, new_rows):
-                    out = out + GradedVector.unit(self._be(rows),
-                                                  gc * sign * c)
+        for j in range(len(rows_b)):
+            out = out + self._insert(ai, rows_a, i - 1, rows_b, j)
         return out
 
     def from_operad(self, n, b: BE) -> BE:
@@ -1592,28 +1489,12 @@ class NcOperad(StructureInstance):
     def _build_component(self, n):
         if n > self.max_in:
             raise TruncationExceeded(str(n))
-        arities = sorted(k for k in getattr(self.base, "_components", {})) \
-            or list(range(0, n + 1))
-        out = []
-        for m in range(1, self.max_factors + 1):
-            for sizes in itertools.product(arities, repeat=m):
-                if sum(sizes) != n:
-                    continue
-                for assign in _ordered_partitions_sized(list(range(n)), sizes):
-                    for combo in itertools.product(
-                            *[self.base.component(k) for k in sizes]):
-                        rows = list(zip(combo, [tuple(p) for p in assign]))
-                        out.append(self._be(rows))
-        return out
+        return [self._be(rows) for m in range(1, self.max_factors + 1)
+                for rows in self._row_words(n, m)]
 
     def _build_action(self, n):
         def apply_basis(p, a):
-            rows = self._split(a)
-            relabeled = [(x, tuple(p[l] for l in ls)) for x, ls in rows]
-            out = GradedVector()
-            for c, nrows in _normalize_rows(self.base, relabeled):
-                out = out + GradedVector.unit(self._be(nrows), c)
-            return out
+            return self._relabeled(self._split(a), p)
 
         return GroupAction(all_perms(n), apply_basis)
 

@@ -51,6 +51,11 @@ MASTER_STRUCTURE = {"w_space": [["wp", 1], ["wm", -1]],
                     "w_form": {"wp|wm": 1}}
 MASTER_SPACE = {"basis": [["x", 0], ["y", -1]], "form": {"x|y": 1},
                 "differential": {"y": [["x", 1]]}}
+# a table instance: the operad with one element of arity 1
+TABLE = {"kind": "operad",
+         "components": {"1": {"basis": [{"id": "a", "degree": 0}],
+                              "generators": []}},
+         "compositions": []}
 
 
 def _tensor_word(genus, letters):
@@ -98,6 +103,17 @@ INPUTS = {
     "short-index.json": {"types": [[0, 3]], "report": [[0]]},
     "e-no-form.json": {"builtin": {"name": "modular-e",
                                    "space": [["x", 0]]}},
+    "table-no-kind.json": {k: v for k, v in TABLE.items() if k != "kind"},
+    "table-no-degree.json": {**TABLE, "components": {"1": {
+        "basis": [{"id": "a"}], "generators": []}}},
+    "table-bad-kind.json": {**TABLE, "kind": "nosuch"},
+    "table-no-matrix.json": {**TABLE, "components": {
+        **TABLE["components"],
+        "2": {"basis": [{"id": "b", "degree": 0}], "generators": [{}]}}},
+    "end-operad.json": {"builtin": {"name": "end-operad"}},
+    "cyclic-end.json": {"builtin": {"name": "cyclic-end", "form": {
+        "entries": {"x|x": 1}}}},
+    "end-prop.json": {"builtin": {"name": "end-prop", "max_out": 6}},
 }
 MASTER = ("master", "--structure", "structure.json", "--space", "space.json")
 
@@ -166,6 +182,16 @@ def test_twist_verify_mismatch_exits_1():
     ("feynman", "--in", "e-no-form.json"),
     ("verify", "axioms", "--in", "e-no-form.json"),
     ("bracket", "jacobi", "--in", "e-no-form.json"),
+    ("verify", "axioms", "--in", "table-no-kind.json"),
+    ("verify", "axioms", "--in", "table-no-degree.json"),
+    ("verify", "axioms", "--in", "table-bad-kind.json"),
+    ("verify", "axioms", "--in", "table-no-matrix.json", "--max-arity", "2"),
+    ("bracket", "jacobi", "--in", "table-no-kind.json"),
+    ("bracket", "jacobi", "--in", "table-no-degree.json"),
+    ("bracket", "jacobi", "--in", "table-bad-kind.json"),
+    ("feynman", "--in", "end-operad.json"),
+    ("feynman", "--in", "cyclic-end.json"),
+    ("feynman", "--in", "end-prop.json", "--max-edges", "1"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, inputs):
     code, out, err = forge(*argv)

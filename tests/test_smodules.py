@@ -268,17 +268,17 @@ def test_decorate_dimensions():
     from opforge.graphs import corolla, graft
     e0 = ModularE(V2, sym_form(), max_flags=6, max_genus=2)
     single = corolla("v", ["a", "b", "c"])
-    basis, act, _ = decorate(e0, single)
+    basis, act, _ = decorate(e0, single, "modular")
     assert len(basis) == len(e0.component((0, 3)))
     two = graft(corolla("u", ["a", "b", "c"]), "c",
                 corolla("w", ["d", "e", "f"]), "d")
-    basis2, _, _ = decorate(e0, two)
+    basis2, _, _ = decorate(e0, two, "modular")
     assert len(basis2) == len(e0.component((0, 3))) ** 2
 
 
 def test_decorate_theta_action_is_signed_permutation():
     e0 = ModularE(V2, sym_form(), max_flags=6, max_genus=2)
-    basis, act, _ = decorate(e0, theta_graph())
+    basis, act, _ = decorate(e0, theta_graph(), "modular")
     order = len(act.elements)
     assert order == 12
     for phi in act.elements:

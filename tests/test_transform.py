@@ -10,6 +10,7 @@ from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
                               delta, dioperadic_product, lie_bracket, prelie,
                               project_coinvariants)
 from opforge.errors import TruncationExceeded, UnsupportedKind
+from opforge.graphs import enumerate_graphs
 from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
                                koszul_sign)
 from opforge.smodules import (BilinearForm, EndOperad, ModularE, check_axioms,
@@ -74,6 +75,27 @@ def test_free_operad_triple_laws():
     gen = trivial_operadic_generator([2])
     F = free_operad(gen, 3)
     assert check_axioms(F, max_arity=4).ok
+
+
+def test_free_operad_acts_on_generators_by_input_permutations():
+    # S_2 acts on a binary generator; the root is not one of its positions
+    def apply_basis(p, a):
+        assert len(p) == 2, p
+        return GradedVector.unit(a)
+
+    gen = GeneratorInstance("operad", {2: [BE(("gen", 2), 0)]},
+                            {2: GroupAction(all_perms(2), apply_basis)})
+    assert check_axioms(free_operad(gen, 3), 3).ok
+
+
+def test_nc_free_construction_keeps_higher_genus_generators():
+    # the corolla of the (1,1) generator and the (0,3) generator with a
+    # loop; a vertex of an nc graph is decorated by its gamma label
+    gen = trivial_modular_generator([(0, 3), (1, 1)])
+    F = free_construct(gen, "modular", "K", 1)
+    NC = nc_extension(F)
+    assert len(F.component((1, 1))) == 2
+    assert len(NC.component((1, 1))) == 2
 
 
 def test_free_component_dimension_matches_burnside():
@@ -199,6 +221,19 @@ def test_graph_enumeration_leaves_no_cycle_for_the_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_oriented_cycle_check_leaves_no_cycle_for_the_collector():
+    graphs = enumerate_graphs("directed-wheeled", {"in_labels": ["i"],
+                                                   "out_labels": ["o"]}, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = [g.has_oriented_cycle() for g in graphs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert True in verdicts and False in verdicts
 
 
 def test_free_construction_keeps_flagless_generator_corollas():
@@ -356,6 +391,20 @@ def test_feynman_d_squared_dim2_sampled():
         for be in sample:
             assert ft.d(ft.d(single(idx, be))).is_zero(), \
                 f"d^2 != 0 on {idx} {be}"
+
+
+def test_feynman_flagless_components_square_to_zero():
+    # the closed window holds (g, 0) types, acted on by the group of no
+    # positions
+    space = [BE("x", 0)]
+    E = ModularE(space, BilinearForm(space, {("x", "x"): 1}), max_flags=6,
+                 max_genus=2)
+    F = FeynmanTransform(DgInstance(E), [(1, 1)], 1)
+    for idx in [(0, 0), (1, 0)]:
+        comp = F.free.component(idx)
+        assert comp
+        for be in comp:
+            assert F.d(F.d(single(idx, be))).is_zero()
 
 
 def test_feynman_zero_differential_when_no_refinement():

@@ -1,0 +1,277 @@
+"""Pinned answers of every construction that moves tensor factors.
+
+Vertex words (graph decorations, the free construction's gluings and S_n
+action) and row words (the PROP generated by an operad, the nc operad, the
+nc tensor extension) act on their factors by one rule: move the factors,
+then act on each factor by the permutation its positions went through.
+Each corpus below dumps every group element on every basis element and
+every gluing over its listed indices, sorted, and compares the sha256 of
+the dump with a digest recorded while five separate loops implemented the
+rule, before they became `smodules.transport`.
+"""
+
+import contextlib
+import hashlib
+import inspect
+import io
+
+import pytest
+
+from opforge import cli
+from opforge import graphs as G
+from opforge.brackets import SumElement
+from opforge.errors import KindMismatch, TruncationExceeded
+from opforge.gradedlin import BE, GradedVector
+from opforge.smodules import BilinearForm, EndOperad, ModularE, decorate
+from opforge.transform import (DgInstance, FeynmanTransform,
+                               NcTensorExtension, free_construct, nc_operad,
+                               prop_generated_by_operad,
+                               trivial_modular_generator)
+
+
+def _vec(v):
+    return tuple(sorted((repr(b.ident), b.degree, str(c))
+                        for b, c in v.terms.items()))
+
+
+def _try(f):
+    try:
+        return _vec(f())
+    except (TruncationExceeded, KindMismatch) as exc:
+        return type(exc).__name__
+
+
+def _digest(records):
+    text = "\n".join(sorted(repr(r) for r in records))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _actions(o, indices, records):
+    for idx in indices:
+        act = o.action(idx)
+        for be in o.component(idx):
+            records.append(("basis", idx, repr(be.ident), be.degree))
+            for g in act.elements:
+                records.append(("act", idx, g, repr(be.ident),
+                                _vec(act.apply_basis(g, be))))
+
+
+def _pairs(o, indices):
+    for ai in indices:
+        for bi in indices:
+            for a in o.component(ai):
+                for b in o.component(bi):
+                    yield ai, a, bi, b
+
+
+def _odd_line():
+    # one odd vector y with y.y = 1: every factor is odd, so every Koszul
+    # sign of a move shows in the answers
+    space = [BE("y", 1)]
+    return space, BilinearForm(space, {("y", "y"): 1}, degree=-2,
+                               symmetry="antisym")
+
+
+def _odd_plane():
+    space = [BE("x", 0), BE("y", -1)]
+    return space, BilinearForm(space, {("x", "y"): 1, ("y", "x"): 1},
+                               degree=1, symmetry="sym")
+
+
+def prop_records():
+    records = []
+    for degree in (0, 1):
+        P = prop_generated_by_operad(EndOperad([BE("x", degree)]), 4, 3)
+        indices = [(2, 1), (2, 2), (3, 2)]
+        _actions(P, indices, records)
+        for ai, a, bi, b in _pairs(P, indices):
+            for i in range(ai[0]):
+                for j in range(bi[1]):
+                    records.append(("circ_st", degree, ai, a.ident, i, bi,
+                                    b.ident, j, _try(lambda: P.circ_st_basis(
+                                        ai, a, i, bi, b, j))))
+            records.append(("box", degree, ai, a.ident, bi, b.ident,
+                            _try(lambda: P.box_basis(ai, a, bi, b))))
+    return records
+
+
+def nc_operad_records():
+    records = []
+    for degree in (0, 1):
+        N = nc_operad(EndOperad([BE("x", degree)], max_arity=8))
+        indices = [1, 2, 3, 4]
+        _actions(N, indices, records)
+        for ai, a, bi, b in _pairs(N, indices):
+            if ai + bi - 1 in indices:
+                for i in range(1, ai + 1):
+                    records.append(("circ", degree, ai, a.ident, i, bi,
+                                    b.ident, _try(lambda: N.circ_basis(
+                                        ai, a, i, bi, b))))
+            if ai + bi in indices:
+                records.append(("box", degree, ai, a.ident, bi, b.ident,
+                                _try(lambda: N.box_basis(ai, a, bi, b))))
+    return records
+
+
+def nc_tensor_records():
+    records = []
+    for space, form in (_odd_line(), _odd_plane()):
+        E = ModularE(space, form, max_flags=6, max_genus=3)
+        NC = NcTensorExtension(E, 2)
+        indices = [(0, 3), (0, 4)]
+        _actions(NC, indices, records)
+        for ai in indices:
+            for a in NC.component(ai):
+                for s in range(ai[1]):
+                    for t in range(s + 1, ai[1]):
+                        records.append(("self", ai, a.ident, s, t, _try(
+                            lambda: NC.self_basis(ai, a, s, t))))
+        if len(space) > 1:
+            continue  # the plane's 400 000 gluings would take 12 s
+        for ai, a, bi, b in _pairs(NC, indices):
+            for s in range(ai[1]):
+                for t in range(bi[1]):
+                    records.append(("circ_st", ai, a.ident, s, bi, b.ident, t,
+                                    _try(lambda: NC.circ_st_basis(
+                                        ai, a, s, bi, b, t))))
+            records.append(("box", ai, a.ident, bi, b.ident,
+                            _try(lambda: NC.box_basis(ai, a, bi, b))))
+    return records
+
+
+def _decorate(src, graph):
+    """decorate in the source's own flavor, with or without the argument
+    that names it."""
+    if "flavor" in inspect.signature(decorate).parameters:
+        return decorate(src, graph, "modular")
+    return decorate(src, graph)
+
+
+def theta_graph():
+    return G.Graph(["a", "b"], ["f1", "f2", "f3", "g1", "g2", "g3"],
+                   {"f1": "g1", "g1": "f1", "f2": "g2", "g2": "f2",
+                    "f3": "g3", "g3": "f3"},
+                   {"f1": "a", "f2": "a", "f3": "a",
+                    "g1": "b", "g2": "b", "g3": "b"})
+
+
+def decorate_records():
+    records = []
+    two = G.graft(G.corolla("u", ["a", "b", "c"]), "c",
+                  G.corolla("w", ["d", "e", "f"]), "d")
+    for name, graph in (("theta", theta_graph()), ("graft", two)):
+        for space, form in (_odd_line(), _odd_plane()):
+            E = ModularE(space, form, max_flags=6, max_genus=3)
+            basis, act, vorder = _decorate(E, graph)
+            records.append(("vorder", name, tuple(vorder)))
+            for be in basis:
+                records.append(("basis", name, repr(be.ident), be.degree))
+                for vmap, fmap in act.elements:
+                    g = (tuple(sorted(vmap.items())),
+                         tuple(sorted(fmap.items())))
+                    records.append(("act", name, g, repr(be.ident),
+                                    _vec(act.apply_basis((vmap, fmap), be))))
+    return records
+
+
+def nc_free_records():
+    records = []
+    NC = free_construct(trivial_modular_generator([(0, 3)]), "nc-modular",
+                        "K", 2)
+    indices = [(0, 3), (0, 4), (1, 1), (1, 2)]
+    for idx in indices:
+        for block in NC.blocks(idx):
+            records.append(("block", idx, block.key,
+                            tuple(repr(b.ident) for b in block.raw_basis),
+                            tuple(tuple(sorted((repr(b.ident), str(c))
+                                               for b, c in vec.items()))
+                                  for vec in block.inv_vectors)))
+    _actions(NC, indices, records)
+    for ai, a, bi, b in _pairs(NC, indices):
+        for s in range(ai[1]):
+            for t in range(bi[1]):
+                records.append(("circ_st", ai, a.ident, s, bi, b.ident, t,
+                                _try(lambda: NC.circ_st_basis(
+                                    ai, a, s, bi, b, t))))
+        records.append(("box", ai, a.ident, bi, b.ident,
+                        _try(lambda: NC.box_basis(ai, a, bi, b))))
+    for ai in indices:
+        for a in NC.component(ai):
+            for s in range(ai[1]):
+                for t in range(s + 1, ai[1]):
+                    records.append(("self", ai, a.ident, s, t,
+                                    _try(lambda: NC.self_basis(ai, a, s, t))))
+    return records
+
+
+def feynman_records():
+    records = []
+    for space, form in (_odd_line(), ([BE("x", 0)], BilinearForm(
+            [BE("x", 0)], {("x", "x"): 1}, degree=0, symmetry="sym"))):
+        E = ModularE(space, form, max_flags=8, max_genus=2)
+        window = [(0, 3), (0, 4), (1, 1), (1, 2)]
+        F = FeynmanTransform(DgInstance(E), window, 2)
+        for idx in window:
+            for be in F.free.component(idx):
+                x = SumElement.single(idx, GradedVector.unit(be))
+                records.append(("d", idx, repr(be.ident), tuple(
+                    (i, _vec(v)) for i, v in sorted(F.d(x).items()))))
+    return records
+
+
+FREE_INPUT = '{"types": [[0, 3]], "report": [[0, 3], [0, 4], [1, 1], [1, 2]]}'
+FEYNMAN_INPUT = ('{"builtin": {"name": "modular-e", "space": [["x", 0]],'
+                 ' "max_flags": 8, "max_genus": 2, "form": {"entries":'
+                 ' {"x|x": 1}, "degree": 0, "symmetry": "sym"}}}')
+
+
+def cli_records(tmp_path, monkeypatch):
+    (tmp_path / "g.json").write_text(FREE_INPUT, encoding="utf-8")
+    (tmp_path / "e.json").write_text(FEYNMAN_INPUT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    records = []
+    for argv in (("free", "--generators", "g.json", "--kind", "nc-modular",
+                  "--twist", "K", "--bound", "2"),
+                 ("free", "--generators", "g.json", "--twist", "1",
+                  "--bound", "3"),
+                 ("--seed", "3", "feynman", "--in", "e.json", "--max-edges",
+                  "2", "--samples", "5", "--window", "[[0, 3], [1, 1]]")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        records.append((argv, code, out.getvalue()))
+    return records
+
+
+PINNED = {
+    "prop":
+    "eaa677bda933377d3d6f548849ad90811ee469e476fff5f63d268c9264b60a86",
+    "nc_operad":
+    "16fb943ecd6ca8fb4749fd7251066f91d6ee9e0342a3b7ab0efacfb26c12438e",
+    "nc_tensor":
+    "5834c9fe8878470def96d376c593885536098175069a87b71075d8c0000cdc04",
+    "decorate":
+    "8601279b2291fb499897506c14ba74b632d38c9e9a088843899b42a07f9ef45c",
+    "nc_free":
+    "18cfdfd36a115405f43be9cd29aa7544a8caa9eb49afceb73178925a203b6f33",
+    "feynman":
+    "daafce5cde83d8faf18e0ffc542fd8f6e4680ca3b41e1313645b47bf0da94ee0",
+}
+
+
+@pytest.mark.parametrize("name, dump", [
+    ("prop", prop_records),
+    ("nc_operad", nc_operad_records),
+    ("nc_tensor", nc_tensor_records),
+    ("decorate", decorate_records),
+    ("nc_free", nc_free_records),
+    ("feynman", feynman_records),
+])
+def test_factor_moves_match_the_pinned_dump(name, dump):
+    assert _digest(dump()) == PINNED[name]
+
+
+def test_free_and_feynman_print_the_pinned_bytes(tmp_path, monkeypatch):
+    assert _digest(cli_records(tmp_path, monkeypatch)) == (
+        "f8983b9d34d34bab1aedb1ced8cd9baa3634f1ac85e2b46a8e9a30a9c2ee63fe")
+
