@@ -18,7 +18,7 @@ from . import graphs as G
 from . import twists
 from .brackets import (SumElement, cyclic_bracket, lie_bracket,
                        project_coinvariants)
-from .errors import ForgeError, InputError
+from .errors import ForgeError, InputError, TruncationExceeded
 from .gradedlin import BE, GradedVector, Q
 from .smodules import (KINDS, BilinearForm, CyclicEnd, EndOperad, EndProp,
                        ModularE, TableInstance, _ident_to_str, check_axioms)
@@ -122,7 +122,7 @@ def load_instance(path: str):
         if data.get("kind") not in KINDS:
             raise InputError(f"{path}: kind must be one of {', '.join(KINDS)}")
         try:
-            return TableInstance(data)
+            return TableInstance(data, source=path)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed instance table in {path}: {exc!r}")
     raise InputError("instance file needs 'builtin' or 'components'")
@@ -195,7 +195,10 @@ def cmd_twist(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = load_instance(args.infile)
-    rep = check_axioms(inst, max_arity=args.max_arity)
+    try:
+        rep = check_axioms(inst, max_arity=args.max_arity)
+    except TruncationExceeded as exc:
+        raise InputError(f"{exc}; lower --max-arity") from None
     report = {"check": "axioms", "instance": args.infile,
               "bound": args.max_arity, "checked": rep.checked,
               "status": "ok" if rep.ok else "fail"}

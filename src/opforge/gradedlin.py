@@ -8,8 +8,10 @@ invariants and coinvariants.  No floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -66,6 +68,16 @@ def long_cycle(k: int) -> Perm:
 
 def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(n))]
+
+
+def adjacent_transpositions(n: int) -> list[Perm]:
+    """s_0, ..., s_{n-2}, where s_i swaps positions i and i + 1."""
+    out = []
+    for i in range(n - 1):
+        p = list(range(n))
+        p[i], p[i + 1] = p[i + 1], p[i]
+        out.append(tuple(p))
+    return out
 
 
 def koszul_sign(p: Perm, degrees: Sequence[int]) -> int:
@@ -320,15 +332,24 @@ class GroupAction:
     """A finite group acting linearly on graded basis elements.
 
     Group elements are opaque hashables; `apply_basis(g, e)` must return the
-    image of basis element e as a GradedVector and preserve degree.  For
-    cyclic flavors the distinguished long-cycle generator is stored in `t`.
+    image of basis element e as a GradedVector and preserve degree.  Images
+    are cached per (g, e).  For cyclic flavors the distinguished long-cycle
+    generator is stored in `t`.
+
+    `generators`, when given, are involutive permutations of range(n) that
+    generate the group of `elements`, `apply_basis` is a homomorphism or an
+    anti-homomorphism, and `average` walks from the identity by generators
+    (see `average`).  Without generators `average` loops over `elements`;
+    the graph automorphism groups of `decorate`, the S_n x S_m bimodule
+    actions and the actions read from a table have none.
     """
 
     def __init__(self, elements: Sequence, apply_basis: Callable[[Hashable, BE], GradedVector],
-                 t: Hashable | None = None):
+                 t: Hashable | None = None, generators: Sequence[Perm] = ()):
         self.elements = list(elements)
         self._apply_basis = apply_basis
         self.t = t
+        self.generators = tuple(generators)
         self._cache: dict = {}
 
     def apply_basis(self, g, be: BE) -> GradedVector:
@@ -348,21 +369,134 @@ class GroupAction:
         return len(self.elements)
 
 
+def symmetric_action(n: int, apply_basis: Callable[[Perm, BE], GradedVector],
+                     t: Perm | None = None) -> GroupAction:
+    """S_n acting through `apply_basis`, generated by the adjacent
+    transpositions s_0, ..., s_{n-2}.
+
+    `apply_basis` must be a homomorphism or an anti-homomorphism of S_n;
+    `average` then reaches each of the n! elements as one generator applied
+    to an element one step nearer the identity, so it applies only the
+    generators to basis elements.  A single element still acts through
+    `apply_basis` directly.
+    """
+    return GroupAction(all_perms(n), apply_basis, t=t,
+                       generators=adjacent_transpositions(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _cayley_tree(generators: tuple, n: int) -> tuple:
+    """Breadth-first spanning tree of the Cayley graph of the permutations
+    of range(n) that the generators generate, rooted at the identity.
+
+    Level k lists the elements at distance k + 1 as (parent slot, generator
+    index, element): the element is generators[index] after the element at
+    the parent slot of level k - 1 (of the root, for level 0).
+    """
+    seen = {identity_perm(n)}
+    frontier = [identity_perm(n)]
+    levels = []
+    while frontier:
+        level = []
+        for slot, g in enumerate(frontier):
+            for k, s in enumerate(generators):
+                h = compose(s, g)
+                if h not in seen:
+                    seen.add(h)
+                    level.append((slot, k, h))
+        if level:
+            levels.append(tuple(level))
+        frontier = [h for _, _, h in level]
+    return tuple(levels)
+
+
 def average(action: GroupAction, v: GradedVector,
             char: Callable[[Hashable], int] | None = None) -> GradedVector:
     """(1/|G|) sum_g char(g) g.v; an idempotent projector onto the invariants.
 
     `char` is a sign character of the group (default: trivial); the result
     is then the projection onto the char-isotypic part.
+
+    An action with `generators` (the S_n actions of `symmetric_action`) is
+    summed along a breadth-first walk of its Cayley graph: each element's
+    image is one generator applied to its parent's image, so only generator
+    images of basis elements are computed, each once.  For a homomorphism
+    the node of the word s_k ... s_1 carries g.v with g = s_k ... s_1.  For
+    an anti-homomorphism it carries g^-1.v, as the generators are
+    involutions; g -> g^-1 is a bijection of the group and
+    char(g^-1) = char(g), so the sum is the same.  Actions without
+    generators (graph automorphism groups, S_n x S_m bimodule actions,
+    tables) loop over their elements.
     """
-    acc: dict = {}
-    for g in action.elements:
-        s = char(g) if char else 1
-        for be, c in v.terms.items():
-            for img, d in action.apply_basis(g, be).terms.items():
-                acc[img] = acc.get(img, ZERO) + s * c * d
-    scale = Q(1, action.order())
+    if action.generators:
+        acc, den = _walk_sum(action, v, char)
+    else:
+        acc, den = {}, 1
+        for g in action.elements:
+            s = char(g) if char else 1
+            for be, c in v.terms.items():
+                for img, d in action.apply_basis(g, be).terms.items():
+                    acc[img] = acc.get(img, ZERO) + s * c * d
+    scale = Q(1, action.order() * den)
     return GradedVector({be: c * scale for be, c in acc.items()})
+
+
+def _walk_sum(action: GroupAction, v: GradedVector, char) -> tuple[dict, int]:
+    """den * sum_g char(g) g.v along the walk of `average`, and den.
+
+    The elements come level by level from `_cayley_tree`, and only the
+    vectors of one level are held at a time.  v is scaled by the common
+    denominator den of its coefficients, so the sums stay in ints while the
+    generators act by integer matrices.
+    """
+    gens = action.generators
+    n = len(gens[0])
+    levels = _cayley_tree(gens, n)
+    if 1 + sum(map(len, levels)) != action.order():
+        raise ValueError("the generators do not reach every element")
+    # basis elements are numbered on first sight, so the sums hash ints
+    number: dict = {}
+    named: list = []
+
+    def number_of(be):
+        i = number.get(be)
+        if i is None:
+            i = number[be] = len(named)
+            named.append(be)
+        return i
+
+    den = math.lcm(*(c.denominator for c in v.terms.values()))
+    root = {number_of(be): c.numerator * (den // c.denominator)
+            for be, c in v.terms.items()}
+    acc: dict = {}
+
+    def add(terms, s):
+        for i, c in terms.items():
+            acc[i] = acc.get(i, 0) + s * c
+
+    images = [{} for _ in gens]  # generator -> number -> [(number, coeff)]
+    add(root, char(identity_perm(n)) if char else 1)
+    frontier = [root]
+    for level in levels:
+        nxt = []
+        for slot, k, g in level:
+            img: dict = {}
+            known = images[k]
+            for i, c in frontier[slot].items():
+                terms = known.get(i)
+                if terms is None:
+                    image = action.apply_basis(gens[k], named[i])
+                    terms = known[i] = [
+                        (number_of(be),
+                         d.numerator if d.denominator == 1 else d)
+                        for be, d in image.terms.items()]
+                for j, d in terms:
+                    img[j] = img.get(j, 0) + c * d
+            img = {j: c for j, c in img.items() if c}
+            nxt.append(img)
+            add(img, char(g) if char else 1)
+        frontier = nxt
+    return {named[i]: c for i, c in acc.items()}, den
 
 
 def invariant_basis(action: GroupAction, basis: Sequence[BE],

@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 from .errors import (DegenerateForm, FlavorMismatch, KindMismatch,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, ONE, ZERO, GradedVector, GroupAction, Perm, Q,
-                        all_perms, average, invert, koszul_sign, long_cycle,
-                        perm_sign, permute_factors, rank_of)
+                        adjacent_transpositions, all_perms, average, invert,
+                        koszul_sign, long_cycle, perm_sign, permute_factors,
+                        rank_of, symmetric_action)
 
 # --------------------------------------------------------------------------
 # kinds
@@ -358,7 +359,7 @@ class EndOperad(StructureInstance):
             sign, permuted = permute_factors(p, ins)
             return GradedVector.unit(self._be(o, permuted), sign)
 
-        return GroupAction(all_perms(n), apply_basis)
+        return symmetric_action(n, apply_basis)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         if self.circ_index(ai, bi) > self.max_arity:
@@ -474,8 +475,8 @@ class CyclicEnd(EndOperad):
             return out
 
         # the transferred rotation moves the functional at slot j to slot j-1
-        return GroupAction(all_perms(n + 1), apply_basis,
-                           t=invert(long_cycle(n + 1)))
+        return symmetric_action(n + 1, apply_basis,
+                                t=invert(long_cycle(n + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -526,7 +527,7 @@ class ModularE(StructureInstance):
             sign, permuted = permute_factors(p, word)
             return GradedVector.unit(self._be(permuted, g, n), sign)
 
-        return GroupAction(all_perms(n), apply_basis)
+        return symmetric_action(n, apply_basis)
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
         gi, n = ai
@@ -736,7 +737,8 @@ class Transported(StructureInstance):
             inner = bact.apply_basis(g, self._unwrap(idx, a))
             return self._wrap_vec(idx, inner).scale(self._mchar(idx, g))
 
-        return GroupAction(bact.elements, apply_basis, t=bact.t)
+        return GroupAction(bact.elements, apply_basis, t=bact.t,
+                           generators=bact.generators)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         if self._circ_sign is None:
@@ -962,7 +964,9 @@ class TensorInstance(StructureInstance):
                     out = out + GradedVector.unit(self._be(bx, by), cx * cy)
             return out
 
-        return GroupAction(a1.elements, apply_basis, t=a1.t)
+        # walk only when both factors walk the same generators
+        gens = a1.generators if a1.generators == a2.generators else ()
+        return GroupAction(a1.elements, apply_basis, t=a1.t, generators=gens)
 
     def _pairwise(self, f1, f2, ai, a, bi, b, ridx):
         x1, x2 = self._split(a)
@@ -1016,8 +1020,8 @@ class TrivialCyclic(StructureInstance):
         def apply_basis(g, a):
             return GradedVector.unit(a)
 
-        return GroupAction(all_perms(n + 1), apply_basis,
-                           t=invert(long_cycle(n + 1)))
+        return symmetric_action(n + 1, apply_basis,
+                                t=invert(long_cycle(n + 1)))
 
     def circ_basis(self, ai, a, i, bi, b):
         if self.circ_index(ai, bi) > self.max_arity:
@@ -1505,29 +1509,20 @@ def _action_generators(o, idx):
     fl = kind_flavor(o.kind)
     n = o.arity(idx)
     if fl == "cyclic":
-        gens = []
-        base = n  # inputs; group acts on n+1 positions
-        for i in range(n):
-            p = list(range(n + 1))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(tuple(p))
-        gens.append(invert(long_cycle(n + 1)))
-        return gens
+        # the group acts on the n inputs and the output
+        return adjacent_transpositions(n + 1) + [invert(long_cycle(n + 1))]
     if fl == "operadic":
-        gens = []
-        for i in range(n - 1):
-            p = list(range(n))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(tuple(p))
-        return gens or [tuple(range(n))]
+        return adjacent_transpositions(n) or [tuple(range(n))]
     raise UnsupportedKind(o.kind)
 
 
 class TableInstance(StructureInstance):
-    """An instance backed by explicit serialized tables."""
+    """An instance backed by explicit serialized tables; `source` names
+    them in errors."""
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, source: str = "the table"):
         self.kind = data["kind"]
+        self.source = source
         self._data = data
         self._basis = {}
         self._gen_matrices = {}
@@ -1563,7 +1558,7 @@ class TableInstance(StructureInstance):
 
     def _build_component(self, idx):
         if idx not in self._basis:
-            raise TruncationExceeded(str(idx))
+            raise TruncationExceeded(f"{self.source} has no component {idx}")
         return self._basis[idx]
 
     def _build_action(self, idx):
@@ -1589,7 +1584,9 @@ class TableInstance(StructureInstance):
                 v = v.map_basis(lambda b: matrix_apply(trans[i], b))
             return v
 
-        # the transpositions generate the whole group, the rotation included
+        # the transpositions generate the whole group, the rotation included.
+        # No walk: matrices read from a file need not satisfy the Coxeter
+        # relations, and a walk could then sum other words than this loop
         t = invert(long_cycle(size)) if fl == "cyclic" else None
         return GroupAction(all_perms(size), apply_basis, t=t)
 

@@ -2,9 +2,12 @@
 
 The free construction decorates isomorphism classes of graphs with generator
 components, tensors on the twist line (realized as an ordered edge word), and
-takes automorphism coinvariants via the averaging projector.  The Feynman
-transform is the free odd construction on the dual generators with the
-edge-insertion differential, assembled as the transpose of the one-edge
+takes automorphism coinvariants via the averaging projector, a loop over
+Aut(Gamma).  Its S_n action relabels tails; `average` sums it along the
+Cayley graph of the adjacent transpositions, so projecting to S_n
+coinvariants glues only the generator images of each basis element.  The
+Feynman transform is the free odd construction on the dual generators with
+the edge-insertion differential, assembled as the transpose of the one-edge
 contraction operator.  Master-equation series are checked two independent
 ways: the direct left-hand side, and the dg-morphism condition on transform
 generators.
@@ -21,7 +24,7 @@ from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms, average,
                         coords_in_span, invariant_basis, invert, koszul_sign,
-                        permute_factors, wedge_reorder_sign)
+                        permute_factors, symmetric_action, wedge_reorder_sign)
 from .smodules import (StructureInstance, contract_word, decorate, decoration,
                        decoration_factors, kind_flavor, kind_has_box,
                        kind_is_odd, local_flag_order, local_index, local_move,
@@ -55,7 +58,7 @@ def trivial_modular_generator(types, degree=0) -> GeneratorInstance:
         def apply_basis(p, a):
             return GradedVector.unit(a)
 
-        acts[(g, n)] = GroupAction(all_perms(n), apply_basis)
+        acts[(g, n)] = symmetric_action(n, apply_basis)
     return GeneratorInstance("modular", comps, acts)
 
 
@@ -310,7 +313,7 @@ class FreeTwisted(StructureInstance):
                               for i in range(len(p))})
             return self._glue(idx, moved, [(block, raw, None, None)])
 
-        return GroupAction(all_perms(self.arity(idx)), apply_basis)
+        return symmetric_action(self.arity(idx), apply_basis)
 
 
 def _flag_labelled(graph, label):
@@ -442,7 +445,7 @@ class NcTensorExtension(StructureInstance):
                     out = out + GradedVector.unit(self._be(norm), sign * c)
             return out
 
-        return GroupAction(all_perms(n), apply_basis)
+        return symmetric_action(n, apply_basis)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         blocks_a = self._split(a)
@@ -627,7 +630,7 @@ def trivial_operadic_generator(arities, degree=0) -> GeneratorInstance:
         def apply_basis(p, a):
             return GradedVector.unit(a)
 
-        acts[n] = GroupAction(all_perms(n), apply_basis)
+        acts[n] = symmetric_action(n, apply_basis)
     return GeneratorInstance("operad", comps, acts)
 
 
@@ -1496,7 +1499,7 @@ class NcOperad(_RowWords):
         def apply_basis(p, a):
             return self._relabeled(self._split(a), p)
 
-        return GroupAction(all_perms(n), apply_basis)
+        return symmetric_action(n, apply_basis)
 
 
 def nc_operad(base: StructureInstance, **kw) -> NcOperad:

@@ -110,6 +110,11 @@ INPUTS = {
     "table-no-matrix.json": {**TABLE, "components": {
         **TABLE["components"],
         "2": {"basis": [{"id": "b", "degree": 0}], "generators": [{}]}}},
+    # components 1 and 2 only, below the default --max-arity 3
+    "table-12.json": {**TABLE, "components": {
+        **TABLE["components"],
+        "2": {"basis": [{"id": "b", "degree": 0}],
+              "generators": [{"matrix": {"b": [["b", "1"]]}}]}}},
     "end-operad.json": {"builtin": {"name": "end-operad"}},
     "cyclic-end.json": {"builtin": {"name": "cyclic-end", "form": {
         "entries": {"x|x": 1}}}},
@@ -192,12 +197,21 @@ def test_twist_verify_mismatch_exits_1():
     ("feynman", "--in", "end-operad.json"),
     ("feynman", "--in", "cyclic-end.json"),
     ("feynman", "--in", "end-prop.json", "--max-edges", "1"),
+    ("verify", "axioms", "--in", "table-12.json"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, inputs):
     code, out, err = forge(*argv)
     assert code == 2
     assert out == ""
     assert err.strip() and "Traceback" not in err
+
+
+def test_a_table_without_a_checked_component_is_named(inputs):
+    code, _, err = forge("verify", "axioms", "--in", "table-12.json")
+    assert code == 2
+    assert "table-12.json has no component 3; lower --max-arity" in err
+    assert forge("verify", "axioms", "--in", "table-12.json",
+                 "--max-arity", "2")[0] == 0
 
 
 def test_same_input_and_seed_give_identical_reports(write):
