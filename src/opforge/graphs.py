@@ -9,7 +9,8 @@ an injective labeling of tails.
 A graph is immutable after construction.  The one state it carries is
 `Graph._canon`, where the first call of `canonical_key`,
 `canonical_form` or `automorphisms` caches the result of the single
-canonical search (`_search`); every later call reads that cache.
+canonical search (`_search`); every later call reads that cache, and
+`canonical_form` hands the canonical graph the same search, renamed.
 
 `enumerate_graphs` grows graphs edge by edge: an edge insertion, the
 inverse of `contract_edge`, takes each graph with k edges to those with
@@ -578,10 +579,11 @@ def canonical_form(g: Graph):
 
     Returns (canonical graph, relabeling) where the relabeling maps the old
     vertex/flag identifiers to the new ones.  Isomorphic graphs (with equal
-    tail labels) produce identical canonical graphs.
+    tail labels) produce identical canonical graphs.  The canonical graph
+    inherits the search through the relabeling, so it is never searched.
     """
     g.canonical_key()
-    vorder, forder = g._canon[:2]
+    vorder, forder, code, ties = g._canon
     vmap = {v: f"v{i}" for i, v in enumerate(vorder)}
     fmap = {f: f"f{i}" for i, f in enumerate(forder)}
     vertices = [vmap[v] for v in vorder]
@@ -596,6 +598,12 @@ def canonical_form(g: Graph):
     labels = {fmap[f]: l for f, l in g.labels.items()}
     canon = Graph(vertices, flags, involution, boundary, genus=genus,
                   gamma=gamma, orientation=orientation, labels=labels)
+    # the orderings of g with the least code, renamed, are those of canon;
+    # its vertex tuple is sorted as strings ("v10" < "v2"), so the best
+    # ordering is `vertices`, not `canon.vertices`
+    canon._canon = (vertices, flags, code,
+                    [([vmap[v] for v in tv], [fmap[f] for f in tf])
+                     for tv, tf in ties])
     relabel = {"vertices": vmap, "flags": fmap}
     return canon, relabel
 

@@ -780,30 +780,13 @@ def operadic_suspension(o: StructureInstance) -> StructureInstance:
     swap, the PROP family keeps its kind.
     """
     fl = kind_flavor(o.kind)
-    if fl == "operadic":
-        if o.kind != "operad":
-            raise UnsupportedKind("suspend the even structure, then shift")
-        kind = "operad"
-
-        def mdeg(n):
-            return n - 1
-
-        def mchar(n, g):
-            return perm_sign(g)
-
-        def circ_sign(ai, x, i, bi, y):
-            e = (i - 1) * (bi - 1) + (bi - 1) * (x.degree % 2)
-            return -1 if e % 2 else 1
-
-        return Transported(o, kind, mdeg, mchar, circ_sign=circ_sign,
-                           tag="D[s]")
-    if fl == "cyclic":
-        if o.kind == "cyclic":
-            kind = "anti-cyclic"
-        elif o.kind == "anti-cyclic":
-            kind = "cyclic"
-        else:
-            raise UnsupportedKind("suspend the unshifted structure first")
+    if fl in ("operadic", "cyclic"):
+        kind = {"operad": "operad", "cyclic": "anti-cyclic",
+                "anti-cyclic": "cyclic"}.get(o.kind)
+        if kind is None:
+            raise UnsupportedKind("suspend the even structure, then shift"
+                                  if fl == "operadic" else
+                                  "suspend the unshifted structure first")
 
         def mdeg(n):
             return n - 1

@@ -79,6 +79,16 @@ def _genuine_series():
                       "[1, 2]": [[_tensor_word(1, [y, y]), "1"]]}}
 
 
+def _corrupted_series():
+    """The genuine series plus the basis element wm.x wp.x wp.y wp.y at
+    (0,4), which is not S_4-invariant: the left-hand side is nonzero at
+    (0,4) and (1,2)."""
+    series = _genuine_series()
+    word = [("wm", "x", -1), ("wp", "x", 1), ("wp", "y", 0), ("wp", "y", 0)]
+    series["terms"]["[0, 4]"].append([_tensor_word(0, word), "1"])
+    return series
+
+
 INPUTS = {
     "dangling.json": DANGLING_FLAG,
     "no_flags.json": NO_FLAGS,
@@ -92,6 +102,7 @@ INPUTS = {
     "space.json": MASTER_SPACE,
     "zero.json": {"terms": {}},
     "genuine.json": _genuine_series(),
+    "corrupted.json": _corrupted_series(),
     # a genus-0 word filed under (1,2), where every word has genus 1
     "unknown-term.json": {"terms": {"[1, 2]": [
         [_tensor_word(0, [("wp", "y", 0)] * 2), "1"]]}},
@@ -303,3 +314,12 @@ def test_graph_verbs_print_pinned_bytes(argv, digest, inputs):
     code, out, _ = forge(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_master_on_a_failing_series_prints_pinned_bytes(inputs):
+    # both verdicts fail and agree; the digest was taken before the
+    # morphism verdict moved onto the Feynman transform
+    code, out, _ = forge(*MASTER, "--series", "corrupted.json")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a62e9cffd06827e7f753a13df2a3a6606dd5ddc36dfcc71fc3fea582d248912b"

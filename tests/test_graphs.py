@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import brute_enumerate_graphs
+from opforge import graphs as G
 from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (GRAPH_CLASSES, Graph, GraphClass, additive_gamma,
                             automorphisms, canonical_form, classify,
@@ -621,6 +622,45 @@ def test_enumeration_deterministic():
     a = enumerate_graphs("stable-graph", {"labels": ["1", "2", "3"], "genus": 1}, 2)
     b = enumerate_graphs("stable-graph", {"labels": ["1", "2", "3"], "genus": 1}, 2)
     assert [g.canonical_key() for g in a] == [g.canonical_key() for g in b]
+
+
+def test_each_enumerated_class_is_searched_once(monkeypatch):
+    # `canonical_form` hands the canonical graph the search that built it:
+    # a kept graph's key, canonical form and automorphisms, and the blocks
+    # of a free construction on it, run no second search.  Six tails and
+    # three edges make twelve flags, so "f10" sorts before "f2".
+    from opforge.transform import free_construct, trivial_modular_generator
+
+    searched = []
+    search = G._search
+
+    def counted(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(G, "_search", counted)
+    kept = enumerate_graphs("stable-graph",
+                            {"labels": [f"p{i}" for i in range(6)],
+                             "genus": 0}, 3)
+    assert max(len(g.flags) for g in kept) == 12
+    fresh = [Graph(g.vertices, g.flags, g.involution, g.boundary,
+                   genus=g.genus, labels=g.labels) for g in kept]
+    searched.clear()
+    for g in kept:
+        canon, relabel = canonical_form(g)
+        assert canon == g and set(relabel["flags"].items()) == {
+            (f, f) for f in g.flags}
+        assert automorphisms(g) and g.canonical_key()
+    assert not searched
+    for g, h in zip(kept, fresh):
+        assert automorphisms(g) == automorphisms(h)
+        assert g.canonical_key() == h.canonical_key()
+    free = free_construct(trivial_modular_generator([(0, 3), (1, 1)]),
+                          "modular", "K", 2)
+    searched.clear()
+    blocks = free.blocks((1, 2))
+    assert len(blocks) > 1
+    assert not [g for g in searched if any(g is b.graph for b in blocks)]
 
 
 # -- serialization ------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import weakref
 
 import pytest
+from master_oracle import MorphismChecker
 
 from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
                               delta, dioperadic_product, lie_bracket, prelie,
@@ -17,12 +18,12 @@ from opforge.smodules import (BilinearForm, EndOperad, ModularE, check_axioms,
                               contract_word, rotation_order2)
 from opforge.transform import (DgInstance, FeynmanTransform,
                                GeneratorInstance, MasterSeries,
-                               MorphismChecker, NcTensorExtension,
-                               build_master_carrier, certify_dg_algebra,
-                               closed_window, free_construct, free_operad,
+                               NcTensorExtension, build_master_carrier,
+                               certify_dg_algebra, closed_window,
+                               free_construct, free_operad,
                                invariant_degree_basis, master_lhs,
                                master_lhs_components, modular_e_differential,
-                               nc_extension, nc_operad,
+                               morphism_defects, nc_extension, nc_operad,
                                prop_generated_by_operad, random_series,
                                solve_master_series,
                                trivial_modular_generator,
@@ -604,9 +605,17 @@ WINDOW = [(0, 3), (0, 4), (1, 1), (1, 2)]
 def master_setup():
     carrier, u_space, d_fun, forms = build_master_carrier(
         W_SPACE, W_FORM, V_SPACE, V_FORM, V_DIFF)
-    checker = MorphismChecker(W_SPACE, W_FORM, V_SPACE, V_FORM, V_DIFF,
-                              WINDOW, carrier.form)
-    return carrier, d_fun, checker
+    oracle = MorphismChecker(W_SPACE, V_SPACE, V_DIFF, WINDOW, carrier.form)
+    return carrier, d_fun, forms, oracle
+
+
+def _certify(series, setup):
+    """The verdict of `certify_dg_algebra`, after checking that the oracle
+    gives the same morphism verdict."""
+    carrier, d_fun, forms, oracle = setup
+    rep = certify_dg_algebra(series, carrier, d_fun, forms, V_DIFF, WINDOW)
+    assert rep.morphism_ok == (not oracle.generator_defects(series))
+    return rep
 
 
 def _genuine_series(carrier, d_fun):
@@ -621,16 +630,16 @@ def _genuine_series(carrier, d_fun):
 
 
 def test_master_zero_series(master_setup):
-    carrier, d_fun, checker = master_setup
+    carrier, d_fun, _, _ = master_setup
     S0 = MasterSeries({})
     comps = master_lhs_components(S0, carrier, d_fun, WINDOW)
     assert all(v.is_zero() for v in comps.values())
-    rep = certify_dg_algebra(S0, carrier, d_fun, checker, WINDOW)
+    rep = _certify(S0, master_setup)
     assert rep.lhs_zero and rep.morphism_ok and rep.agree
 
 
 def test_master_single_closed_term(master_setup):
-    carrier, d_fun, checker = master_setup
+    carrier, d_fun, _, _ = master_setup
     basis = invariant_degree_basis(carrier, (0, 3), 0)
     kernel = [b for b in basis if d_fun((0, 3), b).is_zero()]
     m03 = kernel[0]
@@ -642,7 +651,7 @@ def test_master_single_closed_term(master_setup):
 
 
 def test_master_degree_guard(master_setup):
-    carrier, d_fun, checker = master_setup
+    carrier, d_fun, _, _ = master_setup
     bad_vec = GradedVector.unit(carrier.component((0, 3))[1])
     if bad_vec.homogeneous_degree() == 0:
         bad_vec = GradedVector.unit(
@@ -653,25 +662,132 @@ def test_master_degree_guard(master_setup):
 
 
 def test_master_genuine_certifies_and_corruption_fails(master_setup):
-    carrier, d_fun, checker = master_setup
+    carrier, d_fun, _, _ = master_setup
     sol = _genuine_series(carrier, d_fun)
-    rep = certify_dg_algebra(sol, carrier, d_fun, checker, WINDOW)
+    rep = _certify(sol, master_setup)
     assert rep.lhs_zero and rep.morphism_ok and rep.agree
     terms = dict(sol.terms)
     be0 = sorted(terms[(0, 4)].terms, key=repr)[0]
     terms[(0, 4)] = terms[(0, 4)] + GradedVector.unit(be0, Q(1))
-    rep2 = certify_dg_algebra(MasterSeries(terms), carrier, d_fun, checker,
-                              WINDOW)
+    rep2 = _certify(MasterSeries(terms), master_setup)
     assert not rep2.lhs_zero and not rep2.morphism_ok and rep2.agree
     assert rep2.lhs_witness  # localized nonzero components
 
 
 def test_master_verdicts_agree_on_random_series(master_setup):
-    carrier, d_fun, checker = master_setup
     for seed in range(25):
-        S = random_series(carrier, WINDOW, seed)
-        rep = certify_dg_algebra(S, carrier, d_fun, checker, WINDOW)
+        S = random_series(master_setup[0], WINDOW, seed)
+        rep = _certify(S, master_setup)
         assert rep.agree, seed
+
+
+def _assert_defects_are_the_averaged_lhs(S, carrier, d_fun, forms, oracle,
+                                         w_space, v_diff, window):
+    """f(d phi) + d_V f(phi) = (-1)^{|phi|} n! 2^g <phi, avg_{S_n} LHS_{g,n}>
+    as vectors, on every generator phi of the window; returns how many
+    right-hand sides are nonzero."""
+    lhs = master_lhs(S, carrier, d_fun)
+    defects = morphism_defects(S, forms, v_diff, window)
+    nonzero = 0
+    for idx in window:
+        g, n = idx
+        avg = MasterSeries({idx: carrier.average(
+            idx, lhs.parts.get(idx, GradedVector()))})
+        for combo in itertools.product(w_space, repeat=n):
+            word = tuple((w.ident, w.degree) for w in combo)
+            scale = (-1) ** sum(d for _, d in word) \
+                * math.factorial(n) * 2 ** g
+            want = {k: scale * c
+                    for k, c in oracle.m_hat(avg, idx, word).items()}
+            got = defects.pop((idx, ("T", g, word)), GradedVector())
+            assert {b.ident[2]: c for b, c in got.terms.items()} == want, \
+                (idx, word)
+            nonzero += bool(want)
+    assert not defects
+    return nonzero
+
+
+def test_morphism_defects_are_the_averaged_lhs(master_setup):
+    """The identity on the 30 generators of the window, for six series.
+
+    Every letter of W is odd, so (-1)^{|phi|} is (-1)^n here.  The identity
+    needs the average: at (0,4) the raw left-hand side can be nonzero where
+    its S_4-average is 0 (seeds 0, 20 and 21).
+    """
+    carrier, d_fun, forms, oracle = master_setup
+    assert sum(len(W_SPACE) ** n for _, n in WINDOW) == 30
+    for seed in range(6):
+        S = random_series(carrier, WINDOW, seed)
+        assert _assert_defects_are_the_averaged_lhs(
+            S, carrier, d_fun, forms, oracle, W_SPACE, V_DIFF, WINDOW)
+
+
+def test_morphism_defects_with_even_and_odd_letters():
+    # W has an even letter, so bridges join generators of every parity pair
+    # and (-1)^{|phi|} differs from (-1)^n; a series at (0,3) alone keeps
+    # the left-hand side cheap
+    w_space = [BE("a", 0)] + W_SPACE
+    w_form = {("a", "a"): 1, **W_FORM}
+    window = [(0, 3), (0, 4), (1, 1)]
+    carrier, _, d_fun, forms = build_master_carrier(
+        w_space, w_form, V_SPACE, V_FORM, V_DIFF)
+    oracle = MorphismChecker(w_space, V_SPACE, V_DIFF, window, carrier.form)
+    S = random_series(carrier, [(0, 3)], 0)
+    assert _assert_defects_are_the_averaged_lhs(
+        S, carrier, d_fun, forms, oracle, w_space, V_DIFF, window) == 22
+
+
+def test_evaluate_commutes_with_the_free_gluings(master_setup):
+    # the universal property of the free construction on one edge: the
+    # images of a bridge and of a loop are the target's gluings of the
+    # images, for the equivariant generator map of an invariant series
+    carrier, _, (bw, bv), oracle = master_setup
+    S = random_series(carrier, WINDOW, 1)
+    target = ModularE(V_SPACE, bv, max_flags=4, max_genus=1)
+    ft = FeynmanTransform(
+        DgInstance(ModularE(W_SPACE, bw, max_flags=4, max_genus=1)), WINDOW,
+        1, close_window=False)
+    free = ft.free
+
+    def gen_map(loc, x):
+        table = oracle.m_hat(S, loc, x.ident[1][2])
+        return GradedVector({target._be([BE(i, d) for i, d in k], *loc): c
+                             for k, c in table.items()})
+
+    def f(idx, v):
+        return free.evaluate(idx, v, target, gen_map)
+
+    def gens(idx):
+        (corolla,) = [b for b in free.blocks(idx) if not b.graph.edges()]
+        return [GradedVector.unit(be) for be in corolla.inv_bes]
+
+    nonzero = 0
+    for a, b in itertools.product(gens((0, 3)), repeat=2):
+        (x,), (y,) = a.terms, b.terms
+        for s, t in itertools.product(range(3), repeat=2):
+            want = target.circ_st((0, 3), f((0, 3), a), s, (0, 3),
+                                  f((0, 3), b), t)
+            got = f((0, 4), free.circ_st_basis((0, 3), x, s, (0, 3), y, t))
+            assert got == want, (x, s, y, t)
+            nonzero += not want.is_zero()
+    for a in gens((0, 4)):
+        (x,) = a.terms
+        for s, t in itertools.combinations(range(4), 2):
+            want = target.self_glue((0, 4), f((0, 4), a), s, t)
+            assert f((1, 2), free.self_basis((0, 4), x, s, t)) == want
+            nonzero += not want.is_zero()
+    assert nonzero
+
+
+def test_morphism_defects_see_only_the_averaged_lhs(master_setup):
+    # seed 0: the (0,4) component of the left-hand side is nonzero but
+    # averages to 0, and no generator of type (0,4) has a defect
+    carrier, d_fun, forms, _ = master_setup
+    S = random_series(carrier, WINDOW, 0)
+    raw = master_lhs(S, carrier, d_fun).parts.get((0, 4), GradedVector())
+    assert not raw.is_zero() and carrier.average((0, 4), raw).is_zero()
+    defects = morphism_defects(S, forms, V_DIFF, WINDOW)
+    assert not [k for k in defects if k[0] == (0, 4)]
 
 
 def _nc_block_differential(NC, d_fun):
@@ -732,7 +848,7 @@ def _one_block_part(NC, x: SumElement) -> dict:
 def test_exponential_identity_order_two(master_setup):
     # (d + Delta) e^S truncated at two box-powers reproduces the master
     # left-hand side on single-block components
-    carrier, d_fun, checker = master_setup
+    carrier, d_fun, _, _ = master_setup
     NC = NcTensorExtension(carrier, max_factors=2)
     d_nc = _nc_block_differential(NC, d_fun)
     for seed in (0, 3):
