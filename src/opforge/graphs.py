@@ -6,11 +6,16 @@ orbits of the involution are edges, fixed points are tails.  Optional
 decorations: genus and gamma labels on vertices, orientation on flags, and
 an injective labeling of tails.
 
-A graph is immutable after construction.  The one state it carries is
-`Graph._canon`, where the first call of `canonical_key`,
-`canonical_form` or `automorphisms` caches the result of the single
-canonical search (`_search`); every later call reads that cache, and
-`canonical_form` hands the canonical graph the same search, renamed.
+A graph is immutable after construction.  It carries two caches:
+`Graph._vflags`, the vertex -> flags index the first `vertex_flags` call
+builds, and `Graph._canon`, the result of the single canonical search
+(`_search`) that the first call of `canonical_key`, `canonical_form` or
+`automorphisms` makes; every later call reads it, and `canonical_form`
+hands the canonical graph the same search, renamed.  The search builds
+each flag order depth-first and cuts a prefix only when every completion
+has a greater edge record than the best so far, so it finds the same
+least code and the same tied orderings, in the same order, as trying
+every flag order.
 
 `enumerate_graphs` grows graphs edge by edge: an edge insertion, the
 inverse of `contract_edge`, takes each graph with k edges to those with
@@ -49,7 +54,7 @@ class Graph:
     """Immutable abstract graph with optional decorations."""
 
     __slots__ = ("vertices", "flags", "involution", "boundary", "genus",
-                 "gamma", "orientation", "labels", "_canon")
+                 "gamma", "orientation", "labels", "_canon", "_vflags")
 
     def __init__(self, vertices, flags, involution, boundary, genus=None,
                  gamma=None, orientation=None, labels=None):
@@ -61,7 +66,7 @@ class Graph:
         self.gamma = dict(gamma) if gamma is not None else None
         self.orientation = dict(orientation) if orientation is not None else None
         self.labels = dict(labels) if labels else {}
-        self._canon = None
+        self._canon = self._vflags = None
         self._validate()
 
     def _validate(self):
@@ -113,7 +118,13 @@ class Graph:
         return tuple(out)
 
     def vertex_flags(self, v) -> tuple:
-        return tuple(f for f in self.flags if self.boundary[f] == v)
+        """The flags at v, in the order of `flags`."""
+        if self._vflags is None:
+            vflags = {u: [] for u in self.vertices}
+            for f in self.flags:
+                vflags[self.boundary[f]].append(f)
+            self._vflags = {u: tuple(fl) for u, fl in vflags.items()}
+        return self._vflags.get(v, ())
 
     def g_of(self, v) -> int:
         return self.genus.get(v, 0)
@@ -502,8 +513,8 @@ def _refined_classes(g: Graph):
                 if p != f:
                     around.append(inv[g.boundary[p]])
             nbr[v] = (inv[v], tuple(sorted(map(repr, around))))
-        if all(nbr[v] == nbr[w] for v in g.vertices for w in g.vertices
-               if inv[v] == inv[w]) and len(set(nbr.values())) == len(set(inv.values())):
+        # nbr refines inv, so equally many classes means the same partition
+        if len(set(nbr.values())) == len(set(inv.values())):
             break
         inv = nbr
     classes: dict = {}
@@ -533,18 +544,21 @@ def _search(g: Graph):
     """The one search behind canonical forms and automorphisms.
 
     Tries every vertex order that respects the refined classes and, for
-    each, every flag order that permutes only inside the `_flag_groups`
+    each, the flag orders that permute only inside the `_flag_groups`
     runs.  An ordering's code is (vertex record, flag record, edge record).
     The first two, the head, depend only on the vertex order, so the head
-    is built once per vertex order, a vertex order whose head exceeds the
-    best one is skipped whole, and only the edge record is recomputed per
-    flag order.  (The refined classes already fix every vertex's genus,
-    gamma and flag types, so today all vertex orders of a graph share one
-    head; comparing it keeps the search exact if the refinement changes.)
+    is built once per vertex order and a vertex order whose head exceeds
+    the best one is skipped whole.  (The refined classes already fix every
+    vertex's genus, gamma and flag types, so today all vertex orders of a
+    graph share one head; comparing it keeps the search exact if the
+    refinement changes.)  The flag orders of one vertex order are built
+    depth-first (`_least_flag_orders`), which cuts a prefix only when
+    every completion has an edge record greater than the best so far.
     Returns (vorder, forder, code, ties): the first ordering with the least
-    code and every ordering whose code equals it, that one included.
+    code and every ordering whose code equals it, that one included, in
+    the order of `itertools.product` over the classes' and runs'
+    permutations.
     """
-    edges = g.edges()
     best_head = best_erec = None
     ties = []
     classes = _refined_classes(g)
@@ -561,17 +575,85 @@ def _search(g: Graph):
             continue
         if best_head is None or head < best_head:
             best_head, best_erec, ties = head, None, []
-        for choice in itertools.product(*map(itertools.permutations, runs)):
-            forder = [f for run in choice for f in run]
-            fpos = {f: i for i, f in enumerate(forder)}
-            erec = tuple(sorted(tuple(sorted((fpos[a], fpos[b])))
-                                for a, b in edges))
-            if best_erec is None or erec < best_erec:
-                best_erec, ties = erec, [(vorder, forder)]
-            elif erec == best_erec:
-                ties.append((vorder, forder))
+        erec, forders = _least_flag_orders(runs, g.involution, best_erec)
+        if erec != best_erec:
+            best_erec, ties = erec, []
+        ties.extend((vorder, forder) for forder in forders)
     vorder, forder = ties[0]
     return vorder, forder, best_head + (best_erec,), ties
+
+
+def _least_flag_orders(runs, partner, bound):
+    """The flag orders that permute only inside `runs` whose edge record is
+    least and at most `bound` (no bound when None): (that record, those
+    orders in the order of `itertools.product` over the runs'
+    permutations), or (bound, []) when none reaches the bound.
+
+    An order's edge record lists an (i, j) per edge, i < j the positions
+    of its flags, sorted by i.  The orders are built depth-first, filling
+    positions 0, 1, 2, ... from their run in run order.  The placed prefix
+    fixes the first entries of every completion's record, except that an
+    entry's j stays open until its second flag is placed, at or after the
+    start of that flag's run.  A prefix is cut only when every completion
+    is greater than the best record so far (`_exceeds`), so each order
+    whose record is at most the best is still visited.
+    """
+    slots = [run for run in runs for _ in run]
+    low, s = {}, 0  # low[f]: the first position of the run of f's partner
+    for run in runs:
+        low.update((partner[f], s) for f in run)
+        s += len(run)
+    best = [bound, []]
+    _extend(slots, partner, low, [], [], {}, best)
+    return best[0], best[1]
+
+
+def _extend(slots, partner, low, forder, rec, opened, best):
+    """Try every flag at position len(forder) and complete each placement
+    that `_exceeds` does not cut; a complete order updates `best`, the
+    pair [least record, its orders].  `rec` is the prefix's record, entries
+    [i, j or None, least j]; `opened` maps a flag to the entry it opened."""
+    d = len(forder)
+    if d == len(slots):
+        erec = tuple((i, j) for i, j, _ in rec)
+        if best[0] is None or erec < best[0]:
+            best[0], best[1] = erec, []
+        best[1].append(list(forder))
+        return
+    for f in slots[d]:
+        if f in forder:
+            continue
+        p = partner[f]
+        closes = p in forder
+        if closes:
+            opened[p][1] = d
+        elif p != f:
+            opened[f] = [d, None, low[f]]
+            rec.append(opened[f])
+        forder.append(f)
+        if not _exceeds(rec, best[0], d + 1):
+            _extend(slots, partner, low, forder, rec, opened, best)
+        forder.pop()
+        if closes:
+            opened[p][1] = None
+        elif p != f:
+            rec.pop()
+
+
+def _exceeds(rec, best, placed):
+    """Whether every completion of the record prefix `rec`, with positions
+    below `placed` filled, has an edge record greater than `best`."""
+    if best is None:
+        return False
+    for (i, j, least), (bi, bj) in zip(rec, best):
+        if i != bi:
+            return i > bi
+        if j is None:
+            return max(least, placed) > bj
+        if j != bj:
+            return j > bj
+    # the next entry of a completion starts at a free position
+    return len(rec) < len(best) and best[len(rec)][0] < placed
 
 
 def canonical_form(g: Graph):
@@ -717,12 +799,10 @@ class _Insertions:
         return need, first
 
     def _local(self, g: Graph):
-        """Each vertex's label and its flags, in one pass over the flags."""
-        vflags = {v: [] for v in g.vertices}
-        for f in g.flags:
-            vflags[g.boundary[f]].append(f)
-        return {v: g.gamma_of(v) if self.field == "gamma" else g.g_of(v)
-                for v in g.vertices}, vflags
+        """Each vertex's label and its flags."""
+        return ({v: g.gamma_of(v) if self.field == "gamma" else g.g_of(v)
+                 for v in g.vertices},
+                {v: g.vertex_flags(v) for v in g.vertices})
 
     def _graph(self, vertices, flags, involution, boundary, labels,
                orientation, tail_labels) -> Graph:

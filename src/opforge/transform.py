@@ -1213,9 +1213,12 @@ def certify_dg_algebra(series: MasterSeries, carrier, d_fun, forms,
                        v_diff: dict, window) -> CertifyReport:
     """Two independent verdicts that the theorem says must agree: the
     left-hand side vanishes, and the series is a dg map out of the Feynman
-    transform (`morphism_defects`)."""
+    transform (`morphism_defects`).  Both read the S_n-coinvariants: a
+    component of the left-hand side counts as vanishing when its average
+    does, though its raw terms (the witness counts) may not."""
     comps = master_lhs_components(series, carrier, d_fun, window)
-    lhs_zero = all(v.is_zero() for v in comps.values())
+    lhs_zero = all(carrier.average(idx, v).is_zero()
+                   for idx, v in comps.items())
     witness = None
     if not lhs_zero:
         witness = {str(idx): len(v.terms) for idx, v in comps.items()

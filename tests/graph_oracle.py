@@ -1,14 +1,17 @@
-"""Brute-force graph enumeration, the oracle for `graphs.enumerate_graphs`.
+"""Brute-force oracles for `graphs.enumerate_graphs` and `graphs._search`.
 
-It builds every edge multiset on every number of vertices, every tail
-assignment, every genus or gamma distribution and every orientation, then
-filters by class and vertex types and keeps one canonical form per
-isomorphism class.  It is exponential and meant for small bounds only.
+`brute_enumerate_graphs` builds every edge multiset on every number of
+vertices, every tail assignment, every genus or gamma distribution and
+every orientation, then filters by class and vertex types and keeps one
+canonical form per isomorphism class.  `brute_search` tries every flag
+order inside the refined runs, with no cut.  Both are exponential and meant
+for small graphs only.
 """
 
 import itertools
 
-from opforge.graphs import Graph, canonical_form, classify
+from opforge.graphs import (Graph, _flag_groups, _refined_classes,
+                            canonical_form, classify)
 
 CONNECTED = ("tree", "planar-tree", "rooted-tree", "planar-rooted-tree",
              "stable-graph", "directed-tree", "directed-connected-no-wheels",
@@ -128,3 +131,35 @@ def _decorated(nv, edge_ms, tails, assign, field, target, directed):
                         genus=dec if field == "genus" else None,
                         gamma=dec if field == "gamma" else None,
                         orientation=od, labels=labels)
+
+
+def brute_search(g: Graph):
+    """What `graphs._search` returns, found by trying every flag order."""
+    edges = g.edges()
+    best_head = best_erec = None
+    ties = []
+    classes = _refined_classes(g)
+    for vchoice in itertools.product(*map(itertools.permutations, classes)):
+        vorder = [v for cls in vchoice for v in cls]
+        vpos = {v: i for i, v in enumerate(vorder)}
+        runs = _flag_groups(g, vorder)
+        head = (tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
+                      for v in vorder),
+                tuple((vpos[g.boundary[f]],
+                       {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
+                       g.labels.get(f, "")) for run in runs for f in run))
+        if best_head is not None and head > best_head:
+            continue
+        if best_head is None or head < best_head:
+            best_head, best_erec, ties = head, None, []
+        for choice in itertools.product(*map(itertools.permutations, runs)):
+            forder = [f for run in choice for f in run]
+            fpos = {f: i for i, f in enumerate(forder)}
+            erec = tuple(sorted(tuple(sorted((fpos[a], fpos[b])))
+                                for a, b in edges))
+            if best_erec is None or erec < best_erec:
+                best_erec, ties = erec, [(vorder, forder)]
+            elif erec == best_erec:
+                ties.append((vorder, forder))
+    vorder, forder = ties[0]
+    return vorder, forder, best_head + (best_erec,), ties

@@ -1,12 +1,13 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import brute_enumerate_graphs
+from graph_oracle import brute_enumerate_graphs, brute_search
 from opforge import graphs as G
 from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (GRAPH_CLASSES, Graph, GraphClass, additive_gamma,
@@ -434,6 +435,89 @@ def test_automorphisms_preserve_structure_and_survive_relabelling(rng):
             if g.orientation is not None:
                 assert g.orientation[fmap[f]] == g.orientation[f]
     assert len(automorphisms(_relabel(g, rng))) == len(auts)
+
+
+# -- the pruned search against trying every flag order --------------------------
+
+@st.composite
+def _small_graphs(draw):
+    """At most three vertices and four edges, loops and multi-edges
+    included; tails labelled or not; an orientation, a genus and a gamma
+    each maybe; flags named in a random order, so the runs' candidate
+    order varies."""
+    nv = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    tails = draw(st.lists(st.tuples(vertex, st.booleans()), max_size=3))
+    names = draw(st.permutations(range(2 * len(ends) + len(tails))))
+    flags = [f"h{k}" for k in names]
+    involution, boundary, orientation, labels = {}, {}, {}, {}
+    for e, (a, b) in enumerate(ends):
+        fa, fb = flags[2 * e], flags[2 * e + 1]
+        involution[fa], involution[fb] = fb, fa
+        boundary[fa], boundary[fb] = f"v{a}", f"v{b}"
+        orientation[fa], orientation[fb] = draw(
+            st.sampled_from((("in", "out"), ("out", "in"))))
+    for t, (v, labelled) in enumerate(tails):
+        f = flags[2 * len(ends) + t]
+        involution[f], boundary[f] = f, f"v{v}"
+        orientation[f] = draw(st.sampled_from(("in", "out")))
+        if labelled:
+            labels[f] = str(t)
+    vertices = [f"v{i}" for i in range(nv)]
+    label = st.lists(st.integers(0, 2), min_size=nv, max_size=nv)
+    genus = dict(zip(vertices, draw(label)))
+    gamma = dict(zip(vertices, draw(label))) if draw(st.booleans()) else None
+    return Graph(vertices, flags, involution, boundary, genus=genus,
+                 gamma=gamma, labels=labels,
+                 orientation=orientation if draw(st.booleans()) else None)
+
+
+def _assert_search_matches_brute_force(g):
+    vorder, forder, code, ties = G._search(g)
+    want = brute_search(g)
+    assert (vorder, forder, code) == want[:3]
+    assert ties == want[3]  # the same orderings, in the same order
+
+
+@settings(deadline=None, max_examples=200)
+@given(_small_graphs())
+def test_search_matches_brute_force_oracle(g):
+    _assert_search_matches_brute_force(g)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_search_matches_brute_force_on_roses_and_bananas(k):
+    _assert_search_matches_brute_force(Graph.from_json(_one_vertex_graph(k)))
+    _assert_search_matches_brute_force(Graph.from_json(_banana(k)))
+
+
+def _one_vertex_graph(loops):
+    flags = [f"f{i}" for i in range(2 * loops)]
+    return {"vertices": [{"id": "v"}],
+            "flags": [{"id": f, "vertex": "v"} for f in flags],
+            "edges": [flags[i:i + 2] for i in range(0, 2 * loops, 2)]}
+
+
+def _banana(edges):
+    flags = [{"id": f"{side}{i}", "vertex": side}
+             for i in range(edges) for side in ("x", "y")]
+    return {"vertices": [{"id": "x"}, {"id": "y"}], "flags": flags,
+            "edges": [[f"x{i}", f"y{i}"] for i in range(edges)]}
+
+
+@pytest.mark.parametrize("graph, order", [
+    (_one_vertex_graph(5), 2 ** 5 * 120),  # trying every order: 10! orders
+    (_banana(6), 2 * 720),                 # and 2 * 6! * 6!
+])
+def test_search_past_brute_force_reach(graph, order):
+    rng = random.Random(order)
+    start = time.perf_counter()
+    g = Graph.from_json(graph)
+    a, b = (canonical_form(_relabel(g, rng))[0] for _ in range(2))
+    assert a == b
+    assert len(automorphisms(g)) == order
+    assert time.perf_counter() - start < 1.0
 
 
 # -- enumeration --------------------------------------------------------------

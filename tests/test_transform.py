@@ -790,6 +790,31 @@ def test_morphism_defects_see_only_the_averaged_lhs(master_setup):
     assert not [k for k in defects if k[0] == (0, 4)]
 
 
+def test_lhs_zero_reads_the_averaged_lhs(master_setup):
+    # the genuine series plus the word wm.x wp.x wp.y wp.y at (0,4), which
+    # is not S_4-invariant (the corrupted series `forge master` pins): the
+    # left-hand side has 2 raw terms at (0,4) that average to 0, and 1 at
+    # (1,2) that does not
+    carrier, d_fun, forms, _ = master_setup
+    sol = _genuine_series(carrier, d_fun)
+    word = tuple((("u", w, v), d) for w, v, d in (
+        ("wm", "x", -1), ("wp", "x", 1), ("wp", "y", 0), ("wp", "y", 0)))
+    (extra,) = [b for b in carrier.component((0, 4)) if b.ident[2] == word]
+    S = MasterSeries({**sol.terms,
+                      (0, 4): sol.terms[(0, 4)] + GradedVector.unit(extra)})
+    comps = master_lhs_components(S, carrier, d_fun, WINDOW)
+    assert len(comps[(0, 4)].terms) == 2
+    assert carrier.average((0, 4), comps[(0, 4)]).is_zero()
+    assert not carrier.average((1, 2), comps[(1, 2)]).is_zero()
+    rep = certify_dg_algebra(S, carrier, d_fun, forms, V_DIFF, WINDOW)
+    assert not rep.lhs_zero
+    assert rep.lhs_witness == {"(0, 4)": 2, "(1, 2)": 1}  # raw term counts
+    # without (1,2) the left-hand side vanishes on coinvariants
+    rep = certify_dg_algebra(S, carrier, d_fun, forms, V_DIFF,
+                             [(0, 3), (0, 4), (1, 1)])
+    assert rep.lhs_zero and rep.lhs_witness is None
+
+
 def _nc_block_differential(NC, d_fun):
     def diff(x: SumElement) -> SumElement:
         out = SumElement()
