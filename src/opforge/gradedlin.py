@@ -1,8 +1,8 @@
 """Exact graded linear algebra over the rationals.
 
 Everything in this package is a finite formal sum of graded basis elements
-with Fraction coefficients.  Permutations act with Koszul signs, determinant
-lines keep track of reordering parities, and group averaging moves between
+with Fraction coefficients.  Permutations act with Koszul signs, wedge words
+keep track of reordering parities, and group averaging moves between
 invariants and coinvariants.  No floats anywhere.
 """
 
@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 Q = Fraction
 ZERO = Q(0)
@@ -114,23 +114,6 @@ def permute_factors(p: Perm, factors: Sequence) -> tuple[int, tuple]:
 # swapping two adjacent generators flips the sign, repeats give zero.
 
 
-def wedge_normalize(word: Iterable[Hashable]) -> tuple[int, tuple]:
-    """Sort a wedge word, returning (sign, sorted word); sign 0 on repeats."""
-    items = list(word)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and repr(items[j - 1]) > repr(items[j]):
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(items)
-
-
 def wedge_reorder_sign(src: Sequence, dst: Sequence) -> int:
     """Parity of the permutation carrying the word src onto dst.
 
@@ -139,13 +122,6 @@ def wedge_reorder_sign(src: Sequence, dst: Sequence) -> int:
     pos = {g: i for i, g in enumerate(dst)}
     p = tuple(pos[g] for g in src)
     return perm_sign(p)
-
-
-def wedge_extract(word: Sequence, gen: Hashable) -> tuple[int, tuple]:
-    """Sign to move `gen` to the front of the word, and the remaining word."""
-    idx = list(word).index(gen)
-    rest = tuple(g for i, g in enumerate(word) if i != idx)
-    return (-1) ** idx, rest
 
 
 # --------------------------------------------------------------------------
@@ -249,79 +225,9 @@ def vec(*pairs: tuple[BE, Fraction | int]) -> GradedVector:
     return GradedVector({be: Q(c) for be, c in pairs})
 
 
-# --------------------------------------------------------------------------
-# tensors of two factors and the Koszul swap
-
-def tensor2(a: GradedVector, b: GradedVector) -> GradedVector:
-    """Tensor product over pair basis elements (factor data kept in the id)."""
-    out = {}
-    for x, cx in a.terms.items():
-        for y, cy in b.terms.items():
-            be = BE((("t2",), (x.ident, x.degree), (y.ident, y.degree)),
-                    x.degree + y.degree)
-            out[be] = out.get(be, ZERO) + cx * cy
-    return GradedVector(out)
-
-
-def koszul_swap(a: GradedVector, b: GradedVector) -> GradedVector:
-    """(-1)^{deg a deg b} b (x) a on basis elements, extended bilinearly."""
-    out = GradedVector()
-    for x, cx in a.terms.items():
-        for y, cy in b.terms.items():
-            sign = -1 if (x.degree % 2 and y.degree % 2) else 1
-            out = out + tensor2(GradedVector.unit(y), GradedVector.unit(x)).scale(sign * cx * cy)
-    return out
-
-
-def swap_pair_vector(v: GradedVector) -> GradedVector:
-    """Koszul swap applied to a vector over pair basis elements."""
-    out = {}
-    for be, c in v.terms.items():
-        tag, (ia, da), (ib, db) = be.ident
-        sign = -1 if (da % 2 and db % 2) else 1
-        nbe = BE((tag, (ib, db), (ia, da)), be.degree)
-        out[nbe] = out.get(nbe, ZERO) + sign * c
-    return GradedVector(out)
-
-
 def suspend(v: GradedVector, k: int) -> GradedVector:
     """Shift every basis degree by k; coefficients unchanged."""
     return GradedVector({be.shifted(k): c for be, c in v.terms.items()})
-
-
-# --------------------------------------------------------------------------
-# determinant lines
-
-
-@dataclass(frozen=True)
-class Line:
-    """A one-dimensional graded space with an ordered generator word.
-
-    The permutation character is the reorder parity of the word; the degree
-    records the total grading of the chosen basis vector.
-    """
-
-    degree: int
-    word: tuple
-
-    def char(self, mapping: Mapping) -> int:
-        """Sign of the permutation the mapping induces on the word."""
-        image = [mapping[g] for g in self.word]
-        return wedge_reorder_sign(image, self.word)
-
-
-def det_line(s: Iterable) -> Line:
-    """Det of a finite set: degree -|S|, permutations act by their sign."""
-    word = tuple(sorted(s, key=repr))
-    return Line(-len(word), word)
-
-
-def det_merge_sign(s: Iterable, t: Iterable) -> int:
-    """Sign of det(S) (x) det(T) -> det(S u T) for disjoint S, T."""
-    ws = tuple(sorted(s, key=repr))
-    wt = tuple(sorted(t, key=repr))
-    merged = tuple(sorted(ws + wt, key=repr))
-    return wedge_reorder_sign(ws + wt, merged)
 
 
 # --------------------------------------------------------------------------
@@ -660,8 +566,3 @@ def coords_in_span(basis: Sequence[Mapping], target: Mapping) -> list[Fraction] 
     for i, c in taken.items():
         coords[i] = c
     return coords
-
-
-def in_span(vectors: Sequence[Mapping], target: Mapping) -> bool:
-    return coords_in_span(vectors, target) is not None
-

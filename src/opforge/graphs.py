@@ -25,7 +25,6 @@ k + 1, and `canonical_key()` removes the duplicates.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import MissingDecoration, NotAnEdge, NotATail, NotConnected
 
@@ -931,10 +930,3 @@ def _cuts(items: tuple, spec: tuple, prev=None, floor=-1):
             left = tuple(x for x in items if x not in block)
             for more in _cuts(left, spec[1:], spec[0], block and block[0]):
                 yield (block,) + more
-
-
-def graph_to_bytes(g: Graph) -> bytes:
-    """Canonical JSON serialization, sorted arrays, stable bytes."""
-    canon, _ = canonical_form(g)
-    return json.dumps(canon.to_json(), sort_keys=True,
-                      separators=(",", ":")).encode()

@@ -93,6 +93,11 @@ class FreeTwisted(StructureInstance):
     the determinant of the edge set with edges of the configured degree; the
     trivial twist has no line at all.  Operations raise TruncationExceeded
     when they leave the edge bound.
+
+    Each block (one graph's summand) depends only on its graph and is kept
+    by canonical key.  A gluing builds the one block it lands in, when
+    missing; a component is enumerated only when a caller asks for it
+    (`component`, `blocks`), and it reuses the blocks already built.
     """
 
     def __init__(self, gen: StructureInstance, kind: str, max_edges: int,
@@ -108,16 +113,33 @@ class FreeTwisted(StructureInstance):
 
     # -- component assembly -------------------------------------------------
 
-    def _graphs_for(self, idx):
+    def _graph_class(self, idx):
+        """The graphs of component idx as `G.enumerate_graphs` takes them:
+        (graph class, signature, allowed (genus or gamma, valence) types)."""
         g, n = idx
         labels = [_position_label(i) for i in range(n)]
         types = set(getattr(self.gen, "_components", {})) or None
         if kind_flavor(self.kind) == "nc-modular":
-            sig, cls = {"labels": labels, "gamma": g}, "graph"
-        else:
-            sig, cls = {"labels": labels, "genus": g}, "connected-graph"
+            return "graph", {"labels": labels, "gamma": g}, types
+        return "connected-graph", {"labels": labels, "genus": g}, types
+
+    def _graphs_for(self, idx):
+        cls, sig, types = self._graph_class(idx)
         return G.enumerate_graphs(cls, sig, self.max_edges,
                                   vertex_types=types)
+
+    def _in_component(self, idx, graph) -> bool:
+        """Whether `_graphs_for(idx)` holds the class of `graph`, a glued
+        graph within the edge bound: its class, index, vertex types and
+        vertex count are those the enumeration admits."""
+        cls, sig, types = self._graph_class(idx)
+        label = graph.gamma_of if "gamma" in sig else graph.g_of
+        return (G.classify(graph, cls) and self._index_of_graph(graph) == idx
+                and len(graph.vertices)
+                <= max(1, len(graph.tails()) + 2 * len(graph.edges()))
+                and (types is None
+                     or all((label(v), len(graph.vertex_flags(v))) in types
+                            for v in graph.vertices)))
 
     def _block(self, idx, graph) -> _GraphBlock:
         key = graph.canonical_key()
@@ -191,7 +213,7 @@ class FreeTwisted(StructureInstance):
         if len(glued.edges()) > self.max_edges:
             raise TruncationExceeded("gluing leaves the edge bound")
         canon, relabel = G.canonical_form(glued)
-        rblock = self._result_block(ridx, glued)
+        rblock = self._result_block(ridx, canon)
         vnew, fnew = relabel["vertices"], relabel["flags"]
         flavor = kind_flavor(self.kind)
         word = [] if new_edge is None else [tuple(sorted(fnew[f]
@@ -229,16 +251,20 @@ class FreeTwisted(StructureInstance):
         out = GradedVector(acc)
         return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
 
-    def _result_block(self, ridx, graph) -> _GraphBlock:
-        """The block of component `ridx` holding a graph.
+    def _result_block(self, ridx, canon) -> _GraphBlock:
+        """The block of component `ridx` whose graph is `canon`, a canonical
+        form (its key is cached, so the lookup does not search again).
 
-        The graph must have been through `G.canonical_form`, which caches
-        its canonical key, so the lookup does not canonicalize again.
+        Blocks are built lazily by key: on a miss only this block is built,
+        from `canon`, and the component is not enumerated.  A graph that the
+        component does not hold raises TruncationExceeded.
         """
-        self.blocks(ridx)
-        block = self._by_key.get(graph.canonical_key())
+        block = self._by_key.get(canon.canonical_key())
         if block is None:
-            raise TruncationExceeded("glued graph missing from the component")
+            if not self._in_component(ridx, canon):
+                raise TruncationExceeded("glued graph missing from the "
+                                         "component")
+            block = self._block(ridx, canon)
         return block
 
     def _relabel_positions(self, graph, label_map):
@@ -632,13 +658,12 @@ class FreeOperad(FreeTwisted):
         self.kind = "operad"
         self.odd = False
 
-    def _graphs_for(self, n):
+    def _graph_class(self, n):
         # a rooted-tree vertex of in-arity a has valence a + 1
         types = {(0, a + 1) for a in getattr(self.gen, "_components", {})}
         sig = {"in_labels": [_position_label(i) for i in range(n)],
                "out_labels": ["r"]}
-        return G.enumerate_graphs("rooted-tree", sig, self.max_edges,
-                                  vertex_types=types)
+        return "rooted-tree", sig, types
 
     def _index_of_graph(self, graph):
         return len(graph.tails()) - 1
@@ -1215,7 +1240,9 @@ def certify_dg_algebra(series: MasterSeries, carrier, d_fun, forms,
     left-hand side vanishes, and the series is a dg map out of the Feynman
     transform (`morphism_defects`).  Both read the S_n-coinvariants: a
     component of the left-hand side counts as vanishing when its average
-    does, though its raw terms (the witness counts) may not."""
+    does, though its raw terms (the witness counts) may not.  The morphism
+    is built from the averaged series, as f is S_n-equivariant only for
+    invariant terms."""
     comps = master_lhs_components(series, carrier, d_fun, window)
     lhs_zero = all(carrier.average(idx, v).is_zero()
                    for idx, v in comps.items())
@@ -1223,7 +1250,9 @@ def certify_dg_algebra(series: MasterSeries, carrier, d_fun, forms,
     if not lhs_zero:
         witness = {str(idx): len(v.terms) for idx, v in comps.items()
                    if not v.is_zero()}
-    defects = morphism_defects(series, forms, v_diff, window)
+    averaged = MasterSeries({idx: carrier.average(idx, v)
+                             for idx, v in series.terms.items()})
+    defects = morphism_defects(averaged, forms, v_diff, window)
     morphism_ok = not defects
     mwitness = None if morphism_ok else \
         {str(k): len(v.terms) for k, v in list(defects.items())[:3]}

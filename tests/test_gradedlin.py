@@ -1,19 +1,110 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opforge.gradedlin import (BE, GradedVector, GroupAction, all_perms,
-                               average, compose, coords_in_span,
-                               cyclic_operator_N, det_line, det_merge_sign,
-                               identity_perm, independent_rows, invert,
-                               in_span, koszul_sign, koszul_swap, long_cycle,
-                               perm_sign, permute_factors, rank_of, rref,
-                               suspend,
-                               swap_pair_vector, tensor2, wedge_extract,
-                               wedge_normalize, wedge_reorder_sign)
+from opforge.gradedlin import (BE, ZERO, GradedVector, GroupAction,
+                               all_perms, average, compose, coords_in_span,
+                               cyclic_operator_N, identity_perm,
+                               independent_rows, invert, koszul_sign,
+                               long_cycle, perm_sign, permute_factors,
+                               rank_of, rref, suspend, wedge_reorder_sign)
+
+# -- helpers only these tests use ------------------------------------------------
+
+def wedge_normalize(word: Iterable[Hashable]) -> tuple[int, tuple]:
+    """Sort a wedge word, returning (sign, sorted word); sign 0 on repeats."""
+    items = list(word)
+    sign = 1
+    # insertion sort, counting transpositions
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and repr(items[j - 1]) > repr(items[j]):
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(items)
+
+
+def wedge_extract(word: Sequence, gen: Hashable) -> tuple[int, tuple]:
+    """Sign to move `gen` to the front of the word, and the remaining word."""
+    idx = list(word).index(gen)
+    rest = tuple(g for i, g in enumerate(word) if i != idx)
+    return (-1) ** idx, rest
+
+
+def tensor2(a: GradedVector, b: GradedVector) -> GradedVector:
+    """Tensor product over pair basis elements (factor data kept in the id)."""
+    out = {}
+    for x, cx in a.terms.items():
+        for y, cy in b.terms.items():
+            be = BE((("t2",), (x.ident, x.degree), (y.ident, y.degree)),
+                    x.degree + y.degree)
+            out[be] = out.get(be, ZERO) + cx * cy
+    return GradedVector(out)
+
+
+def koszul_swap(a: GradedVector, b: GradedVector) -> GradedVector:
+    """(-1)^{deg a deg b} b (x) a on basis elements, extended bilinearly."""
+    out = GradedVector()
+    for x, cx in a.terms.items():
+        for y, cy in b.terms.items():
+            sign = -1 if (x.degree % 2 and y.degree % 2) else 1
+            out = out + tensor2(GradedVector.unit(y), GradedVector.unit(x)).scale(sign * cx * cy)
+    return out
+
+
+def swap_pair_vector(v: GradedVector) -> GradedVector:
+    """Koszul swap applied to a vector over pair basis elements."""
+    out = {}
+    for be, c in v.terms.items():
+        tag, (ia, da), (ib, db) = be.ident
+        sign = -1 if (da % 2 and db % 2) else 1
+        nbe = BE((tag, (ib, db), (ia, da)), be.degree)
+        out[nbe] = out.get(nbe, ZERO) + sign * c
+    return GradedVector(out)
+
+
+@dataclass(frozen=True)
+class Line:
+    """A one-dimensional graded space with an ordered generator word.
+
+    The permutation character is the reorder parity of the word; the degree
+    records the total grading of the chosen basis vector.
+    """
+
+    degree: int
+    word: tuple
+
+    def char(self, mapping: Mapping) -> int:
+        """Sign of the permutation the mapping induces on the word."""
+        image = [mapping[g] for g in self.word]
+        return wedge_reorder_sign(image, self.word)
+
+
+def det_line(s: Iterable) -> Line:
+    """Det of a finite set: degree -|S|, permutations act by their sign."""
+    word = tuple(sorted(s, key=repr))
+    return Line(-len(word), word)
+
+
+def det_merge_sign(s: Iterable, t: Iterable) -> int:
+    """Sign of det(S) (x) det(T) -> det(S u T) for disjoint S, T."""
+    ws = tuple(sorted(s, key=repr))
+    wt = tuple(sorted(t, key=repr))
+    merged = tuple(sorted(ws + wt, key=repr))
+    return wedge_reorder_sign(ws + wt, merged)
+
+
+def in_span(vectors: Sequence[Mapping], target: Mapping) -> bool:
+    return coords_in_span(vectors, target) is not None
 
 
 def test_exact_arithmetic_roundtrip():

@@ -13,8 +13,8 @@ from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (GRAPH_CLASSES, Graph, GraphClass, additive_gamma,
                             automorphisms, canonical_form, classify,
                             contract_edge, corolla, enumerate_graphs, graft,
-                            graph_to_bytes, merge_vertices, self_glue,
-                            total_gamma, total_genus)
+                            merge_vertices, self_glue, total_gamma,
+                            total_genus)
 
 
 def theta():
@@ -748,6 +748,13 @@ def test_each_enumerated_class_is_searched_once(monkeypatch):
 
 
 # -- serialization ------------------------------------------------------------
+
+def graph_to_bytes(g: Graph) -> bytes:
+    """Canonical JSON serialization, sorted arrays, stable bytes."""
+    canon, _ = canonical_form(g)
+    return json.dumps(canon.to_json(), sort_keys=True,
+                      separators=(",", ":")).encode()
+
 
 def test_json_roundtrip():
     g = theta()

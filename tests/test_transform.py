@@ -186,11 +186,130 @@ def test_nc_extension_of_free_is_disconnected_family():
 
 def test_bv_suite_on_nc_free_k_modular():
     gen = trivial_modular_generator([(0, 3)])
-    F = free_construct(gen, "modular", "K", 2)
+    F = free_construct(gen, "modular", "K", 3)
     NC = nc_extension(F)
     els = [single((0, 3), NC.component((0, 3))[0])]
     rep = bv_verify(NC, els)
     assert rep.ok, rep.failures
+
+
+# -- blocks built on demand ------------------------------------------------------
+
+def _blocks_built_on_demand(F):
+    """The blocks a gluing built, outside every enumerated component."""
+    built = {b.key for blocks in F._blocks.values() for b in blocks}
+    return [b for key, b in F._by_key.items() if key not in built]
+
+
+def _assert_matches_eager(F, eager, order=True):
+    on_demand = _blocks_built_on_demand(F)
+    assert on_demand
+    for block in on_demand:
+        idx = F._index_of_graph(block.graph)
+        (twin,) = [b for b in eager.blocks(idx) if b.key == block.key]
+        for field in ("graph", "key", "raw_basis", "inv_bes", "inv_vectors"):
+            assert getattr(block, field) == getattr(twin, field), field
+        assert block.aut.elements == twin.aut.elements
+    if not order:
+        return
+    for idx in {F._index_of_graph(b.graph) for b in on_demand}:
+        # enumerating afterwards reuses the blocks and keeps their order
+        assert [b.key for b in F.blocks(idx)] == \
+            [b.key for b in eager.blocks(idx)]
+        assert all(F._by_key[b.key] is b for b in F.blocks(idx))
+
+
+def test_gluings_build_only_their_blocks_and_match_the_eager_ones():
+    # the corolla's gluings land in graphs of at most 2 edges, so they
+    # build the same blocks at edge bounds 2 and 3, and the eager instance
+    # at bound 2 holds them all (at bound 3 its (0,9) component alone has
+    # 14 770 blocks)
+    gen = trivial_modular_generator([(0, 3)])
+    lazy = {}
+    for bound in (3, 2):
+        NC = nc_extension(free_construct(gen, "modular", "K", bound))
+        assert bv_verify(NC, [single((0, 3), NC.component((0, 3))[0])]).ok
+        assert list(NC._blocks) == [(0, 3)]
+        lazy[bound] = NC
+    assert [b.key for b in _blocks_built_on_demand(lazy[3])] == \
+        [b.key for b in _blocks_built_on_demand(lazy[2])]
+    eager = nc_extension(free_construct(gen, "modular", "K", 2))
+    _assert_matches_eager(lazy[3], eager, order=False)
+    _assert_matches_eager(lazy[2], eager)
+
+
+def test_free_operad_gluings_build_blocks_that_match_the_eager_ones():
+    gen = trivial_operadic_generator([2, 3])
+    F = free_operad(gen, 2)
+    b2, b3 = F.component(2)[0], F.component(3)[0]
+    ab = F.circ_basis(2, b2, 1, 3, b3)
+    (c,) = ab.terms
+    abc = F.circ(4, ab, 4, 2, GradedVector.unit(b2))
+    assert not abc.is_zero()
+    for i in (1, 2):
+        assert not F.circ_basis(3, b3, i, 4, c).is_zero()
+    assert list(F._blocks) == [2, 3]
+    _assert_matches_eager(F, free_operad(gen, 2))
+
+
+def test_a_graph_outside_the_component_raises():
+    gen = trivial_modular_generator([(0, 3)])
+    F = free_construct(gen, "modular", "K", 2)
+    four = {"labels": [f"p{i}" for i in range(4)], "genus": 0}
+    tree = enumerate_graphs("connected-graph", four, 1,
+                            vertex_types={(0, 3)})[0]
+    # a graph of (0,4) asked for in (1,2)
+    with pytest.raises(TruncationExceeded):
+        F._result_block((1, 2), tree)
+    assert F._by_key == {}
+    assert F._result_block((0, 4), tree).key == tree.canonical_key()
+    # a vertex of type (0,4), which no generator has
+    (quad,) = enumerate_graphs("connected-graph", four, 0)
+    with pytest.raises(TruncationExceeded):
+        F._result_block((0, 4), quad)
+    # two corollas, not connected
+    pair = enumerate_graphs("graph", {"labels": [f"p{i}" for i in range(6)],
+                                      "gamma": 0}, 0, vertex_types={(0, 3)})[0]
+    assert len(pair.vertices) == 2
+    with pytest.raises(TruncationExceeded):
+        F._result_block((0, 6), pair)
+    assert len(F._by_key) == 1
+
+
+def test_two_flagless_corollas_leave_the_nc_component():
+    # the enumeration keeps at most max(1, tails + 2 edges) vertices, so
+    # the union of two flagless corollas is not in the (2,0) component
+    gen = trivial_modular_generator([(1, 0), (2, 0)])
+    NC = nc_extension(free_construct(gen, "modular", "1", 1))
+    (a,) = NC.component((1, 0))
+    assert len(NC.component((2, 0))) == 1
+    with pytest.raises(TruncationExceeded):
+        NC.box_basis((1, 0), a, (1, 0), a)
+
+
+@pytest.mark.parametrize("flavor", ["modular", "nc-modular", "operad"])
+def test_component_membership_is_the_enumeration(flavor):
+    # every graph of the class without vertex types: in the component
+    # exactly when the enumeration with the generator types keeps it
+    if flavor == "operad":
+        F = free_operad(trivial_operadic_generator([2, 3]), 3)
+        idxs = [1, 2, 3, 4]
+    else:
+        F = free_construct(trivial_modular_generator([(0, 3), (1, 1)]),
+                           "modular", "K", 2)
+        if flavor == "nc-modular":
+            F = nc_extension(F)
+        # (0,4) has 1 897 nc graphs without vertex types
+        idxs = [(0, 3), (1, 1), (1, 2), (2, 0)] if flavor == "nc-modular" \
+            else [(0, 3), (0, 4), (1, 1), (1, 2), (2, 0)]
+    outside = 0
+    for idx in idxs:
+        cls, sig, _ = F._graph_class(idx)
+        keys = {g.canonical_key() for g in F._graphs_for(idx)}
+        for g in enumerate_graphs(cls, sig, F.max_edges):
+            assert F._in_component(idx, g) == (g.canonical_key() in keys)
+            outside += g.canonical_key() not in keys
+    assert outside
 
 
 def test_free_construction_is_freed_without_the_cycle_collector():
@@ -202,6 +321,10 @@ def test_free_construction_is_freed_without_the_cycle_collector():
         NC = nc_extension(free_construct(gen, "modular", "K", 1))
         x = single((0, 3), NC.component((0, 3))[0])
         assert project_coinvariants(x, NC) == x
+        # and a gluing that builds its block on demand
+        g = NC.component((0, 3))[0]
+        assert not NC.circ_st_basis((0, 3), g, 0, (0, 3), g, 0).is_zero()
+        assert list(NC._blocks) == [(0, 3)] and len(NC._by_key) == 2
         ref = weakref.ref(NC)
         del NC
         assert ref() is None
@@ -813,6 +936,8 @@ def test_lhs_zero_reads_the_averaged_lhs(master_setup):
     rep = certify_dg_algebra(S, carrier, d_fun, forms, V_DIFF,
                              [(0, 3), (0, 4), (1, 1)])
     assert rep.lhs_zero and rep.lhs_witness is None
+    # and the morphism, built from the averaged series, agrees
+    assert rep.morphism_ok and rep.agree
 
 
 def _nc_block_differential(NC, d_fun):
