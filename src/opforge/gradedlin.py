@@ -479,21 +479,29 @@ def _axpy(acc: dict, f: Fraction, row: Mapping, fresh: list | None = None) -> No
                 del acc[k]
 
 
-class _Echelon:
-    """Dict rows in echelon form, built by forward elimination.
+class Span:
+    """The span of dict rows, in echelon form by forward elimination; it is
+    built once and answers `coords_in_span` for many targets unchanged.
 
     Row j is 1 at its pivot key pivots[j] (stored without that entry) and 0
     at every earlier pivot, so reducing a vector by the rows in pivot order
     clears each pivot for good.  Only nonzero entries are stored or touched,
     and only the rows whose pivot the vector meets are visited.  When
-    tracking, combos[j] writes row j in the added vectors, by their index.
+    tracking, combos[j] writes row j in the given rows, by their index.
+    len() counts the given rows; `independent` indexes the earliest
+    independent ones.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self, rows: Sequence[Mapping], track: bool = True):
         self.pivots: list = []
         self.position: dict = {}  # pivot key -> j
         self.rows: list[dict] = []
         self.combos: list[dict] | None = [] if track else None
+        self.independent = [i for i, v in enumerate(rows) if self.add(v, i)]
+        self.size = len(rows)
+
+    def __len__(self) -> int:
+        return self.size
 
     def reduce(self, v: dict, taken: dict | None = None) -> None:
         """Reduce v in place; add to `taken` the combination removed."""
@@ -513,7 +521,7 @@ class _Echelon:
             if taken is not None:
                 _axpy(taken, -f, self.combos[j])
 
-    def add(self, v: Mapping, index: int = 0) -> bool:
+    def add(self, v: Mapping, index: int) -> bool:
         """Add vector number `index`; False when it is in the span already."""
         r = {k: c for k, c in v.items() if c}
         taken = {} if self.combos is not None else None
@@ -538,8 +546,7 @@ def independent_rows(vectors: Sequence[Mapping]) -> list[int]:
     Row i is selected exactly when it is not in the span of rows 0..i-1, so
     the selected rows are a basis of the span of all rows.
     """
-    ech = _Echelon()
-    return [i for i, v in enumerate(vectors) if ech.add(v)]
+    return Span(vectors, track=False).independent
 
 
 def rank_of(vectors: Sequence[Mapping]) -> int:
@@ -547,22 +554,18 @@ def rank_of(vectors: Sequence[Mapping]) -> int:
     return len(independent_rows(vectors))
 
 
-def coords_in_span(basis: Sequence[Mapping], target: Mapping) -> list[Fraction] | None:
+def coords_in_span(basis: Span | Sequence[Mapping],
+                   target: Mapping) -> list[Fraction] | None:
     """Exact coordinates of target in the span of basis, or None.
 
     The solution returned is the one supported on `independent_rows(basis)`:
     a member that is a combination of earlier members gets coordinate 0.
     None means target is not in the span.
     """
-    ech = _Echelon(track=True)
-    for i, b in enumerate(basis):
-        ech.add(b, i)
+    span = basis if isinstance(basis, Span) else Span(basis)
     r = {k: c for k, c in target.items() if c}
     taken: dict = {}
-    ech.reduce(r, taken)
+    span.reduce(r, taken)
     if r:
         return None
-    coords = [ZERO] * len(basis)
-    for i, c in taken.items():
-        coords[i] = c
-    return coords
+    return [taken.get(i, ZERO) for i in range(len(span))]

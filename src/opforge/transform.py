@@ -25,9 +25,10 @@ from . import graphs as G
 from .brackets import SumElement, cyclic_bracket, delta
 from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
-from .gradedlin import (BE, GradedVector, GroupAction, Q, all_perms, average,
-                        coords_in_span, invariant_basis, invert, koszul_sign,
-                        permute_factors, symmetric_action, wedge_reorder_sign)
+from .gradedlin import (BE, GradedVector, GroupAction, Q, Span, all_perms,
+                        average, coords_in_span, invariant_basis, invert,
+                        koszul_sign, permute_factors, symmetric_action,
+                        wedge_reorder_sign)
 from .smodules import (BilinearForm, ModularE, StructureInstance, decorate,
                        decoration, decoration_factors, kind_flavor,
                        kind_has_box, kind_is_odd, local_flag_order,
@@ -78,7 +79,8 @@ class _GraphBlock:
     raw_basis: list
     aut: GroupAction
     inv_bes: list
-    inv_vectors: list  # dicts raw-ident -> Fraction
+    inv_vectors: list  # dicts raw BE -> Fraction
+    span: Span  # of inv_vectors: project_raw solves against it
 
 
 def _position_label(i: int) -> str:
@@ -152,7 +154,8 @@ class FreeTwisted(StructureInstance):
         shift = self.edge_degree * len(graph.edges())
         inv_bes = [BE(("fc", key, j), basis[i].degree + shift)
                    for j, (i, _) in enumerate(invs)]
-        block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors)
+        block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors,
+                            Span(inv_vectors))
         self._by_key[key] = block
         return block
 
@@ -185,17 +188,24 @@ class FreeTwisted(StructureInstance):
 
     def project_raw(self, idx, block: _GraphBlock, raw: GradedVector) -> GradedVector:
         """Average a raw vector (twist-weighted) and express it in the
-        invariant basis of its block."""
+        invariant basis of its block, solved against the block's span."""
         avg = average(block.aut, raw, self._twist_char(block.graph))
         if avg.is_zero():
             return GradedVector()
-        target = {b.ident: c for b, c in avg.terms.items()}
-        basis = [{b.ident: c for b, c in vec.items()}
-                 for vec in block.inv_vectors]
-        coords = coords_in_span(basis, target)
+        coords = coords_in_span(block.span, avg.terms)
         if coords is None:
             raise AssertionError("projection left the invariant span")
-        return GradedVector(dict(zip(block.inv_bes, coords)))
+        return GradedVector({be: c for be, c in zip(block.inv_bes, coords) if c})
+
+    def project_blocks(self, idx, raws) -> GradedVector:
+        """The sum of `project_raw` over (block, raw dict) pairs, one pair
+        per block: distinct blocks have disjoint invariant bases."""
+        out: dict = {}
+        for block, raw in raws:
+            raw = GradedVector(raw)
+            if not raw.is_zero():
+                out.update(self.project_raw(idx, block, raw).terms)
+        return GradedVector(out)
 
     # -- raw gluing ----------------------------------------------------------
 
@@ -248,8 +258,7 @@ class FreeTwisted(StructureInstance):
                     coeff = -coeff
                 earlier += dec.degree
             _merge_into(acc, canon, [part for _, _, part in combo], coeff)
-        out = GradedVector(acc)
-        return self.project_raw(ridx, rblock, out) if not out.is_zero() else out
+        return self.project_blocks(ridx, [(rblock, acc)])
 
     def _result_block(self, ridx, canon) -> _GraphBlock:
         """The block of component `ridx` whose graph is `canon`, a canonical
@@ -738,7 +747,7 @@ def modular_e_differential(E, d_space: dict):
     """Extend a differential on the space to E(V) tensors as a derivation."""
 
     def diff(idx, v: GradedVector) -> GradedVector:
-        out = GradedVector()
+        acc: dict = {}
         for be, c in v.terms.items():
             word = E._split(be)
             for i, f in enumerate(word):
@@ -747,10 +756,9 @@ def modular_e_differential(E, d_space: dict):
                     continue
                 sign = -1 if sum(x.degree for x in word[:i]) % 2 else 1
                 for nf, c2 in img.terms.items():
-                    nw = word[:i] + (nf,) + word[i + 1:]
-                    out = out + GradedVector.unit(
-                        E._be(nw, *idx), c * c2 * sign)
-        return out
+                    nbe = E._be(word[:i] + (nf,) + word[i + 1:], *idx)
+                    acc[nbe] = acc.get(nbe, 0) + c * c2 * sign
+        return GradedVector(acc)
 
     return diff
 
@@ -793,6 +801,11 @@ def _group_inverse(o, idx, g):
     if isinstance(g, tuple) and len(g) == 2:
         return (invert(g[0]), invert(g[1]))
     raise KindMismatch("cannot invert group element")
+
+
+def _dual_decoration(ident) -> BE:
+    """The dual of the primal decoration with factors ((ident, degree), ...)."""
+    return decoration([BE(("dl", i), -d) for i, d in ident])
 
 
 def closed_window(requested, max_edges: int):
@@ -865,9 +878,11 @@ class FeynmanTransform:
     The one-edge matrix elements are adjoint to the source gluings: the
     coefficient of the dual decoration of x in d(phi) is the coefficient of
     phi's primal decoration in the contraction of x along the new edge.
-    Dual and primal words are paired factor by factor, with no Koszul sign
-    for the pairing; the internal part uses the same pairing, so
-    (d* phi)(x) = -phi(dx) on each factor (see `_dual_diff`).
+    `d_edge` reads them from an index of each component's contractions by
+    the block they land in, and projects into a block by solving against
+    its one `Span`.  Dual and primal words are paired factor by factor with
+    no Koszul sign, in the internal part too, so (d* phi)(x) = -phi(dx) on
+    each factor (see `_dual_diff`).
     """
 
     def __init__(self, source: DgInstance, window, max_edges: int,
@@ -884,15 +899,13 @@ class FeynmanTransform:
         self.gen = dual_generator_instance(source.inst, self.window)
         self.free = FreeTwisted(self.gen, "k-modular", max_edges,
                                 edge_degree=+1)
-        self._contractions: dict = {}
+        self._targets: dict = {}  # idx -> see `_contractions_into`
         self._dual_diffs: dict = {}  # loc -> primal ident -> d* image
 
     # -- primal one-edge contraction ------------------------------------
 
     def _contract_data(self, bhat: _GraphBlock, e):
-        key = (bhat.key, e)
-        if key in self._contractions:
-            return self._contractions[key]
+        """(contracted canonical graph, word sign, primal ident -> image)."""
         o = self.source.inst
         ghat = bhat.graph
         target = G.contract_edge(ghat, e)
@@ -913,52 +926,46 @@ class FeynmanTransform:
                                        for v in ghat.vertices]):
             ident = tuple((x.ident, x.degree) for x in dec)
             raw_map[ident] = _contract_dec(o, ghat, dec, e, canon, relabel)
-        data = (canon, word_sign, raw_map)
-        self._contractions[key] = data
-        return data
+        return canon, word_sign, raw_map
+
+    def _contractions_into(self, idx) -> dict:
+        """The one-edge contractions in component idx by the key of the
+        block they land in: [(bhat, word sign, phi -> [(x*, c)])], with c
+        the coefficient of phi's primal in x contracted.  Built once."""
+        if idx not in self._targets:
+            index: dict = {}
+            for bhat in self.free.blocks(idx):
+                for e in bhat.graph.edges():
+                    canon, word_sign, raw_map = self._contract_data(bhat, e)
+                    by_phi: dict = {}
+                    for xident, vec in raw_map.items():
+                        x_dual = _dual_decoration(xident)
+                        for pbe, pc in vec.terms.items():
+                            by_phi.setdefault(_dual_decoration(pbe.ident[1]),
+                                              []).append((x_dual, pc))
+                    index.setdefault(canon.canonical_key(), []).append(
+                        (bhat, word_sign, by_phi))
+            self._targets[idx] = index
+        return self._targets[idx]
 
     # -- the differential --------------------------------------------------
 
     def d_edge(self, x: SumElement) -> SumElement:
-        out = SumElement()
+        """Edge insertion: each term reads only the contractions onto its
+        block; the raw images are summed per block and projected once."""
+        parts = {}
         for idx, v in x.items():
-            acc: dict = {}
+            index = self._contractions_into(idx)
+            per_block: dict = {}
             for be, c in v.terms.items():
-                for be2, c2 in self._d_edge_basis(idx, be).terms.items():
-                    acc[be2] = acc.get(be2, Q(0)) + c * c2
-            out = out + SumElement.single(idx, GradedVector(acc))
-        return out
-
-    def _d_edge_basis(self, idx, be: BE) -> GradedVector:
-        F = self.free
-        block, raw = F.expand(idx, be)
-        phi_coeffs = {}
-        for dec, c in raw.terms.items():
-            primal = tuple((i[1], -d) for i, d in dec.ident[1])
-            phi_coeffs[primal] = c
-        out = GradedVector()
-        for bhat in F.blocks(idx):
-            if len(bhat.graph.edges()) != len(block.graph.edges()) + 1:
-                continue
-            for e in bhat.graph.edges():
-                canon, word_sign, raw_map = self._contract_data(bhat, e)
-                if canon.canonical_key() != block.key:
-                    continue
-                psi = GradedVector()
-                for xident, vec in raw_map.items():
-                    coeff = Q(0)
-                    for pbe, pc in vec.terms.items():
-                        key = pbe.ident[1]
-                        if key in phi_coeffs:
-                            coeff += pc * phi_coeffs[key]
-                    if coeff:
-                        dual = tuple((("dl", i), -d) for i, d in xident)
-                        dbe = BE(("dec", dual), -sum(d for _, d in xident))
-                        psi = psi + GradedVector.unit(dbe, coeff)
-                if not psi.is_zero():
-                    out = out + F.project_raw(idx, bhat,
-                                              psi.scale(word_sign))
-        return out
+                block, raw = self.free.expand(idx, be)
+                for bhat, word_sign, by_phi in index.get(block.key, ()):
+                    psi = per_block.setdefault(bhat.key, (bhat, {}))[1]
+                    for phi, cp in raw.terms.items():
+                        for xd, cx in by_phi.get(phi, ()):
+                            psi[xd] = psi.get(xd, 0) + word_sign * c * cp * cx
+            parts[idx] = self.free.project_blocks(idx, per_block.values())
+        return SumElement(parts)
 
     def d_internal(self, x: SumElement) -> SumElement:
         """Dual of the source differential, extended as a derivation.
@@ -966,7 +973,7 @@ class FeynmanTransform:
         It acts on decorations only, so each term stays in the block of the
         graph it came from; raw decorations alone do not name the graph.
         """
-        out = SumElement()
+        parts = {}
         F = self.free
         flavor = kind_flavor(self.source.inst.kind)
         for idx, v in x.items():
@@ -989,18 +996,14 @@ class FeynmanTransform:
                             nbe = decoration(
                                 factors[:slot] + (nf,) + factors[slot + 1:])
                             acc[nbe] = acc.get(nbe, Q(0)) + c * cd * c2 * sign
-            for block, acc in per_block.values():
-                raw_img = GradedVector(acc)
-                if not raw_img.is_zero():
-                    out = out + SumElement.single(
-                        idx, F.project_raw(idx, block, raw_img))
-        return out
+            parts[idx] = F.project_blocks(idx, per_block.values())
+        return SumElement(parts)
 
     def _dual_diff(self, loc, phi: BE) -> GradedVector:
         """(d* phi)(x) = -phi(dx).
 
         No parity factor (-1)^{|phi|}: dual and primal words are paired
-        factor by factor, as in `_d_edge_basis`, and the Koszul sign of
+        factor by factor, as in `d_edge`, and the Koszul sign of
         moving d past the edges and the earlier factors is applied in
         `d_internal`.
         """
@@ -1286,8 +1289,7 @@ def solve_master_series(carrier, d_fun, window, seed_term=None, seed=0,
         if rest.is_zero():
             continue
         basis = invariant_degree_basis(carrier, idx, 0)
-        images = [{b: c for b, c in d_fun(idx, v).terms.items()}
-                  for v in basis]
+        images = [d_fun(idx, v).terms for v in basis]
         target = {b: -c for b, c in rest.terms.items()}
         coords = coords_in_span(images, target)
         if coords is None:

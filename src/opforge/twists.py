@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, MissingVertexType
-from .gradedlin import Q, coords_in_span, wedge_reorder_sign
+from .gradedlin import Q, Span, coords_in_span, wedge_reorder_sign
 from . import graphs as G
 
 
@@ -214,12 +214,11 @@ class CycleDeterminant(TwistCocycle):
 
     def line(self, graph) -> LineData:
         edges, index, basis = self._cycle_basis(graph)
+        span = Span(basis)
 
         def char(vmap, fmap):
-            if not basis:
-                return 1
             # push each basis cycle through the automorphism, express in basis
-            rows = []
+            mat = []
             for vec in basis:
                 moved = {}
                 for ei, c in vec.items():
@@ -228,15 +227,11 @@ class CycleDeterminant(TwistCocycle):
                     te = tuple(sorted((ta, tb)))
                     flip = 1 if ta == te[0] else -1
                     moved[index[te]] = moved.get(index[te], Q(0)) + flip * c
-                rows.append(moved)
-            mat = []
-            for vec in rows:
-                coords = coords_in_span(basis, vec)
+                coords = coords_in_span(span, moved)
                 if coords is None:
                     raise InputError("automorphism does not preserve cycles")
                 mat.append(coords)
-            det = _det_sign(mat)
-            return det
+            return _det_sign(mat)
 
         return LineData(-len(basis), char)
 

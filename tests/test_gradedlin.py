@@ -7,7 +7,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opforge.gradedlin import (BE, ZERO, GradedVector, GroupAction,
+from opforge.gradedlin import (BE, ZERO, GradedVector, GroupAction, Span,
                                all_perms, average, compose, coords_in_span,
                                cyclic_operator_N, identity_perm,
                                independent_rows, invert, koszul_sign,
@@ -408,3 +408,29 @@ def test_coords_in_span_matches_dense_transposed_solve(basis, data):
                 rebuilt[k] = rebuilt.get(k, Q(0)) + c * x
         assert {k: x for k, x in rebuilt.items() if x} == \
             {k: x for k, x in target.items() if x}
+
+
+def _fields(span):
+    return (list(span.pivots), dict(span.position),
+            [dict(r) for r in span.rows], [dict(c) for c in span.combos])
+
+
+@settings(deadline=None)
+@given(sparse_rows(), st.data())
+def test_one_span_answers_like_fresh_solves(rows, data):
+    """A Span built once answers every target as a fresh solve does, and a
+    solve, None or not, leaves it as it was."""
+    span = Span(rows)
+    assert len(span) == len(rows)
+    targets = [dict(row) for row in rows] + [{}, {"a": Q(0)}, {"g": Q(1)}]
+    for _ in range(3):
+        keys = data.draw(st.lists(st.sampled_from(KEYS), max_size=4,
+                                  unique=True))
+        targets.append({k: data.draw(COEFFS) for k in keys})
+        if rows:
+            targets.append(_combination(data.draw, rows))
+    fields = _fields(span)
+    for target in data.draw(st.permutations(targets)):
+        got = coords_in_span(span, target)
+        assert got == coords_in_span(rows, target)
+        assert _fields(span) == fields

@@ -5,6 +5,7 @@ import random
 import weakref
 
 import pytest
+from feynman_oracle import scan_d_edge_basis
 from master_oracle import MorphismChecker
 
 from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
@@ -13,7 +14,7 @@ from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
 from opforge.errors import TruncationExceeded, UnsupportedKind
 from opforge.graphs import enumerate_graphs
 from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
-                               koszul_sign)
+                               koszul_sign, rank_of)
 from opforge.smodules import (BilinearForm, EndOperad, ModularE, check_axioms,
                               contract_word, rotation_order2)
 from opforge.transform import (DgInstance, FeynmanTransform,
@@ -696,22 +697,91 @@ def test_feynman_internal_differential_keeps_each_graph():
     assert images == 4
 
 
-def test_feynman_internal_differential():
-    # a 4-dim space with an even form and a compatible differential
+def _dg_e4():
+    # a 4-dim space with an even form and a compatible differential, as in
+    # the feynman benchmark workload
     V = [BE("a", -1), BE("b", 0), BE("c", 0), BE("z", 1)]
     form = BilinearForm(V, {("a", "z"): 1, ("b", "c"): 1},
                         degree=0, symmetry="sym")
     E = ModularE(V, form, max_flags=6, max_genus=2)
     d_space = {"a": GradedVector.unit(BE("b", 0)),
                "c": GradedVector.unit(BE("z", 1))}
-    diff = modular_e_differential(E, d_space)
+    return DgInstance(E, modular_e_differential(E, d_space))
+
+
+def test_feynman_internal_differential():
+    dg = _dg_e4()
     # compatibility with the form: d is a derivation of the gluings
-    dg = DgInstance(E, diff)
     assert dg.check_square([(0, 2), (0, 3)])
     ft = FeynmanTransform(dg, [(0, 2)], 1, close_window=False)
     for be in ft.free.component((0, 2)):
         assert ft.d(ft.d(single((0, 2), be))).is_zero(), \
             f"d^2 != 0 on (0, 2) {be}"
+
+
+def _com_transform(g, n):
+    """The Feynman transform of Com (E of one even x, x.x = 1, d = 0) on
+    the stable types that fit in a stable graph of type (g, n), with room
+    for all of its 3g - 3 + n edges."""
+    window = [(h, m) for h in range(g + 1) for m in range(2 * g + n + 1)
+              if 0 < 2 * h - 2 + m <= 2 * g - 2 + n]
+    return FeynmanTransform(DgInstance(_e_dim1()), window, 3 * g - 3 + n,
+                            close_window=False)
+
+
+@pytest.mark.parametrize("make, idx", [
+    (lambda: FeynmanTransform(_dg_e4(), [(0, 2)], 1, close_window=False),
+     (0, 2)),
+    (lambda: _com_transform(0, 5), (0, 5)),
+    (lambda: _com_transform(1, 3), (1, 3)),
+    (lambda: _com_transform(2, 1), (2, 1)),
+], ids=["e4-0-2", "com-0-5", "com-1-3", "com-2-1"])
+def test_d_edge_matches_the_scanning_oracle(make, idx):
+    ft = make()
+    contractions: dict = {}
+    nonzero = 0
+    for be in ft.free.component(idx):
+        got = ft.d_edge(single(idx, be)).parts.get(idx, GradedVector())
+        assert got.terms == scan_d_edge_basis(ft, idx, be, contractions), be
+        nonzero += not got.is_zero()
+    assert nonzero
+
+
+def _homology_by_edges(ft, idx):
+    """Ranks of the homology of component idx, by degree = edge count."""
+    by_edges = {k: [] for k in range(ft.free.max_edges + 1)}
+    for be in ft.free.component(idx):
+        block, _ = ft.free.expand(idx, be)
+        by_edges[len(block.graph.edges())].append(be)
+    ranks = [rank_of([ft.d(single(idx, be)).parts.get(idx, GradedVector()).terms
+                      for be in bes]) for bes in by_edges.values()]
+    return [len(by_edges[k]) - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in by_edges]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_feynman_com_genus_zero_homology_is_lie(n):
+    # Getzler-Kapranov: H(F Com)((0, n)) has rank (n - 2)!, all in the top
+    # degree n - 3
+    assert _homology_by_edges(_com_transform(0, n), (0, n)) \
+        == [0] * (n - 3) + [math.factorial(n - 2)]
+
+
+@pytest.mark.parametrize("n, rank", [(1, 0), (2, 0), (3, 1), (4, 3)])
+def test_feynman_com_genus_one_homology(n, rank):
+    # Chan-Galatius-Payne: acyclic for n = 1, 2, else (n - 1)!/2 in one
+    # degree
+    ranks = _homology_by_edges(_com_transform(1, n), (1, n))
+    assert sum(ranks) == rank and sum(map(bool, ranks)) == (rank > 0)
+
+
+@pytest.mark.parametrize("g, n, ranks", [
+    (3, 0, [0, 0, 0, 0, 0, 0, 1]),  # the wheel K_4 (Chan-Galatius-Payne)
+    (2, 0, [0, 0, 0, 0]),  # regression values, no closed form cited
+    (2, 1, [0, 0, 0, 0, 0]),
+])
+def test_feynman_com_homology_without_enough_tails(g, n, ranks):
+    assert _homology_by_edges(_com_transform(g, n), (g, n)) == ranks
 
 
 # -- master equation ----------------------------------------------------------------
