@@ -100,41 +100,34 @@ def prelie(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     return out
 
 
+def _commutator(product, shift: int, a: SumElement, b: SumElement,
+                o: StructureInstance) -> SumElement:
+    """a.b - (-1)^{(|a|-shift)(|b|-shift)} b.a on homogeneous pieces, with
+    a.b = product(a, b, o)."""
+    out = SumElement()
+    for ia, da, ha, ib, db, hb in _pairs(a, b):
+        sign = -1 if ((da - shift) % 2 and (db - shift) % 2) else 1
+        ea, eb = SumElement.single(ia, ha), SumElement.single(ib, hb)
+        out = out + product(ea, eb, o) - product(eb, ea, o).scale(sign)
+    return out
+
+
 def lie_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     """[a o b] = a o b - (-1)^{deg a deg b} b o a on even kinds."""
     if kind_is_odd(o.kind):
         raise KindMismatch("use odd_bracket on odd kinds")
-    out = SumElement()
-    for ia, da, ha, ib, db, hb in _pairs(a, b):
-        sign = -1 if (da % 2 and db % 2) else 1
-        ea, eb = SumElement.single(ia, ha), SumElement.single(ib, hb)
-        out = out + prelie(ea, eb, o) - prelie(eb, ea, o).scale(sign)
-    return out
+    return _commutator(prelie, 0, a, b, o)
 
 
 def odd_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     """{a . b} = a.b - (-1)^{s(a)s(b)} b.a with s the down-shifted degree."""
     if not kind_is_odd(o.kind):
         raise KindMismatch("use lie_bracket on even kinds")
-    out = SumElement()
-    for ia, da, ha, ib, db, hb in _pairs(a, b):
-        sign = -1 if ((da - 1) % 2 and (db - 1) % 2) else 1
-        ea, eb = SumElement.single(ia, ha), SumElement.single(ib, hb)
-        out = out + prelie(ea, eb, o) - prelie(eb, ea, o).scale(sign)
-    return out
+    return _commutator(prelie, 1, a, b, o)
 
 
 # --------------------------------------------------------------------------
 # rotation-summed bracket for cyclic and modular flavors
-
-
-def _glue_positions(o: StructureInstance, idx) -> int:
-    fl = kind_flavor(o.kind)
-    if fl == "cyclic":
-        return idx + 1
-    if fl in ("modular", "nc-modular"):
-        return idx[1]
-    raise KindMismatch(o.kind)
 
 
 def cyclic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
@@ -147,8 +140,8 @@ def cyclic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumEle
         for ib, vb in b.items():
             ridx = o.circ_st_index(ia, ib) if fl != "cyclic" else o.circ_index(ia, ib)
             acc = GradedVector()
-            for s in range(_glue_positions(o, ia)):
-                for t in range(_glue_positions(o, ib)):
+            for s in range(o.arity(ia)):
+                for t in range(o.arity(ib)):
                     if fl == "cyclic":
                         acc = acc + o.cyc_st(ia, va, s, ib, vb, t)
                     else:
@@ -166,9 +159,7 @@ def cyc_compose(a: GradedVector, i: int, j: int, b: GradedVector,
     """
     if kind_flavor(o.kind) != "cyclic":
         raise KindMismatch(o.kind)
-    x = o.t_rot(n, a, (i - 1) % (n + 1))
-    y = o.t_rot(m, b, j % (m + 1))
-    return o.circ(n, x, 1, m, y)
+    return o.rotated_circ(n, a, i, m, b, j)
 
 
 @dataclass
@@ -188,19 +179,17 @@ def n_operator(o: StructureInstance, idx, v: GradedVector) -> GradedVector:
 
 
 def cyclic_average(o: StructureInstance, idx, v: GradedVector) -> GradedVector:
-    n1 = _glue_positions(o, idx)
-    return n_operator(o, idx, v).scale(Q(1, n1))
+    return n_operator(o, idx, v).scale(Q(1, o.arity(idx)))
 
 
 def n_compat(a: GradedVector, b: GradedVector, o: StructureInstance,
              n: int, m: int) -> NCompatReport:
     """Check [N(a) o N(b)] = N(sum_{i,j} a cyc_{i,j} b) and measure the
     proportionality between the two brackets on cyclic coinvariants."""
+    bracket = odd_bracket if kind_is_odd(o.kind) else lie_bracket
     na = n_operator(o, n, a)
     nb = n_operator(o, m, b)
-    lhs = lie_bracket(SumElement.single(n, na), SumElement.single(m, nb), o) \
-        if not kind_is_odd(o.kind) else \
-        odd_bracket(SumElement.single(n, na), SumElement.single(m, nb), o)
+    lhs = bracket(SumElement.single(n, na), SumElement.single(m, nb), o)
     c = GradedVector()
     for i in range(n + 1):
         for j in range(m + 1):
@@ -212,9 +201,7 @@ def n_compat(a: GradedVector, b: GradedVector, o: StructureInstance,
     # coefficient between p[s[a] o s[b]] and [[a] (.) [b]]
     sa = cyclic_average(o, n, a)
     sb = cyclic_average(o, m, b)
-    br = lie_bracket(SumElement.single(n, sa), SumElement.single(m, sb), o) \
-        if not kind_is_odd(o.kind) else \
-        odd_bracket(SumElement.single(n, sa), SumElement.single(m, sb), o)
+    br = bracket(SumElement.single(n, sa), SumElement.single(m, sb), o)
     left = cyclic_average(o, ridx, br.parts.get(ridx, GradedVector()))
     odot = cyclic_bracket(SumElement.single(n, a), SumElement.single(m, b), o)
     right = cyclic_average(o, ridx, odot.parts.get(ridx, GradedVector()))
@@ -265,14 +252,8 @@ def dioperadic_product(a: SumElement, b: SumElement, o: StructureInstance) -> Su
 
 
 def dioperadic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
-    shift = 1 if kind_is_odd(o.kind) else 0
-    out = SumElement()
-    for ia, da, ha, ib, db, hb in _pairs(a, b):
-        sign = -1 if ((da - shift) % 2 and (db - shift) % 2) else 1
-        ea, eb = SumElement.single(ia, ha), SumElement.single(ib, hb)
-        out = out + dioperadic_product(ea, eb, o) \
-            - dioperadic_product(eb, ea, o).scale(sign)
-    return out
+    return _commutator(dioperadic_product, 1 if kind_is_odd(o.kind) else 0,
+                       a, b, o)
 
 
 # --------------------------------------------------------------------------
@@ -401,15 +382,14 @@ def seven_term_defect(a: SumElement, b: SumElement, c: SumElement,
     return out
 
 
-def bv_verify(o: StructureInstance, elements: list[SumElement],
-              project=True) -> BvReport:
+def bv_verify(o: StructureInstance, elements: list[SumElement]) -> BvReport:
     """Check Delta^2 = 0, the seven-term identity, and that the deviation
     bracket of the horizontal product equals the rotation-summed bracket,
     all on coinvariant representatives of the supplied elements."""
     if not (kind_has_self(o.kind) and kind_has_box(o.kind)):
         raise KindMismatch(f"{o.kind} is not an nc kind with self-gluings")
     failures = []
-    reps = [project_coinvariants(x, o) for x in elements] if project else elements
+    reps = [project_coinvariants(x, o) for x in elements]
 
     sq = True
     for x in reps:
@@ -421,9 +401,7 @@ def bv_verify(o: StructureInstance, elements: list[SumElement],
 
     seven = True
     for a, b, c in itertools.islice(itertools.product(reps, repeat=3), 27):
-        defect = seven_term_defect(a, b, c, o)
-        if project:
-            defect = project_coinvariants(defect, o)
+        defect = project_coinvariants(seven_term_defect(a, b, c, o), o)
         if not defect.is_zero():
             seven = False
             failures.append({"check": "seven-term", "inputs": (repr(a), repr(b), repr(c))})
@@ -433,11 +411,8 @@ def bv_verify(o: StructureInstance, elements: list[SumElement],
     reference = (dioperadic_bracket if kind_flavor(o.kind) == "bimodule"
                  else cyclic_bracket)
     for a, b in itertools.islice(itertools.product(reps, repeat=2), 16):
-        dev = deviation_bracket(a, b, o)
-        br = reference(a, b, o)
-        if project:
-            dev = project_coinvariants(dev, o)
-            br = project_coinvariants(br, o)
+        dev = project_coinvariants(deviation_bracket(a, b, o), o)
+        br = project_coinvariants(reference(a, b, o), o)
         if dev != br:
             dev_ok = False
             failures.append({"check": "deviation-vs-bracket",

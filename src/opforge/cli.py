@@ -40,6 +40,20 @@ def _max_dim_cap() -> int:
         raise InputError("FORGE_MAX_DIM must be an integer")
 
 
+def _required(value, flag: str):
+    if value is None:
+        raise InputError(f"{flag} is required")
+    return value
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer that is not negative."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return n
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -49,9 +63,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_graph(path: str | None) -> G.Graph:
-    if path is None:
-        raise InputError("--in is required")
-    data = _load_json(path)
+    data = _load_json(_required(path, "--in"))
     try:
         return G.Graph.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
@@ -166,7 +178,7 @@ def cmd_graphs(args) -> int:
 
 def cmd_twist(args) -> int:
     if args.action == "eval":
-        cocycle = twists.parse_twist(args.expr)
+        cocycle = twists.parse_twist(_required(args.expr, "--expr"))
         g = _load_graph(args.infile)
         line = cocycle.line(g)
         chars = {}
@@ -178,8 +190,8 @@ def cmd_twist(args) -> int:
                "status": "ok"}, args.format)
         return PASS
     if args.action == "verify":
-        a = twists.parse_twist(args.a)
-        b = twists.parse_twist(args.b)
+        a = twists.parse_twist(_required(args.a, "--a"))
+        b = twists.parse_twist(_required(args.b, "--b"))
         rep = twists.verify_isomorphism(a, b, args.family, args.max_edges,
                                         max_tails=args.max_tails)
         report = {"check": "twist-isomorphism", "a": args.a, "b": args.b,
@@ -230,7 +242,7 @@ def cmd_bracket(args) -> int:
                "seed": args.seed}, args.format)
         return PASS
     if args.action == "jacobi":
-        inst = load_instance(args.infile)
+        inst = load_instance(_required(args.infile, "--in"))
         failures = []
         checked = 0
         for _ in range(args.samples):
@@ -295,7 +307,7 @@ def cmd_feynman(args) -> int:
     if args.twist != "K":
         raise InputError("only the edge determinant twist is supported")
     src = DgInstance(inst)
-    window = [tuple(t) for t in (args.window or [[0, 3]])]
+    window = _index_pairs(args.window or [[0, 3]], "--window")
     ft = FeynmanTransform(src, window, args.max_edges)
     report = {"check": "feynman", "instance": args.infile,
               "bound": args.max_edges, "status": "ok"}
@@ -393,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("action", choices=("enumerate", "canon", "auto"))
     g.add_argument("--class", dest="graph_class", default="stable",
                    choices=("stable",) + G.GRAPH_CLASSES)
-    g.add_argument("--g", type=int, default=None)
-    g.add_argument("--labels", type=int, default=0)
-    g.add_argument("--max-edges", type=int, default=1)
+    g.add_argument("--g", type=_count, default=None)
+    g.add_argument("--labels", type=_count, default=0)
+    g.add_argument("--max-edges", type=_count, default=1)
     g.add_argument("--in", dest="infile")
     g.set_defaults(fn=cmd_graphs)
 
@@ -404,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--expr")
     t.add_argument("--a")
     t.add_argument("--b")
-    t.add_argument("--family", default="stable-graph")
-    t.add_argument("--max-edges", type=int, default=2)
-    t.add_argument("--max-tails", type=int, default=3)
+    t.add_argument("--family", default="stable-graph",
+                   choices=G.GRAPH_CLASSES)
+    t.add_argument("--max-edges", type=_count, default=2)
+    t.add_argument("--max-tails", type=_count, default=3)
     t.add_argument("--in", dest="infile")
     t.set_defaults(fn=cmd_twist)
 
@@ -427,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--generators", required=True)
     f.add_argument("--kind", default="modular")
     f.add_argument("--twist", default="K")
-    f.add_argument("--bound", type=int, default=2)
+    f.add_argument("--bound", type=_count, default=2)
     f.set_defaults(fn=cmd_free)
 
     fe = sub.add_parser("feynman")
     fe.add_argument("--in", dest="infile", required=True)
     fe.add_argument("--twist", default="K")
-    fe.add_argument("--max-edges", type=int, default=2)
+    fe.add_argument("--max-edges", type=_count, default=2)
     fe.add_argument("--check", choices=("d2",), default="d2")
-    fe.add_argument("--samples", type=int, default=25)
+    fe.add_argument("--samples", type=_count, default=25)
     fe.add_argument("--window", type=json.loads, default=None)
     fe.set_defaults(fn=cmd_feynman)
 

@@ -37,18 +37,6 @@ GRAPH_CLASSES = (
 )
 
 
-class GraphClass:
-    """A decidable membership predicate, named by its kind."""
-
-    def __init__(self, kind: str):
-        if kind not in GRAPH_CLASSES:
-            raise ValueError(f"unknown graph class {kind!r}")
-        self.kind = kind
-
-    def __repr__(self):
-        return f"GraphClass({self.kind!r})"
-
-
 class Graph:
     """Immutable abstract graph with optional decorations."""
 
@@ -130,13 +118,6 @@ class Graph:
 
     def gamma_of(self, v) -> int:
         return (self.gamma or {}).get(v, 0)
-
-    def loops_at(self, v) -> int:
-        n = 0
-        for f, p in self.edges():
-            if self.boundary[f] == v and self.boundary[p] == v:
-                n += 1
-        return n
 
     def components(self) -> list[set]:
         parent = {v: v for v in self.vertices}
@@ -445,10 +426,8 @@ def vertex_stable(g: Graph, v, use_gamma=False) -> bool:
     return 2 * label - 2 + len(g.vertex_flags(v)) > 0
 
 
-def classify(g: Graph, kind) -> bool:
+def classify(g: Graph, kind: str) -> bool:
     """Membership of g in one of the named graph classes."""
-    if isinstance(kind, GraphClass):
-        kind = kind.kind
     if kind not in GRAPH_CLASSES:
         raise ValueError(f"unknown graph class {kind!r}")
     directed = kind.startswith("directed") or "rooted" in kind
@@ -496,8 +475,10 @@ def _vertex_invariant(g: Graph, v):
     tail_keys = sorted((g.orientation[f] if g.orientation else "",
                         g.labels.get(f, "")) for f in fl if g.involution[f] == f)
     orient_profile = sorted(g.orientation[f] for f in fl) if g.orientation else []
+    loops = sum(1 for f in fl if g.involution[f] != f
+                and g.boundary[g.involution[f]] == v) // 2
     return (g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1,
-            len(fl), g.loops_at(v), tuple(tail_keys), tuple(orient_profile))
+            len(fl), loops, tuple(tail_keys), tuple(orient_profile))
 
 
 def _refined_classes(g: Graph):
@@ -553,10 +534,10 @@ def _search(g: Graph):
     refinement changes.)  The flag orders of one vertex order are built
     depth-first (`_least_flag_orders`), which cuts a prefix only when
     every completion has an edge record greater than the best so far.
-    Returns (vorder, forder, code, ties): the first ordering with the least
-    code and every ordering whose code equals it, that one included, in
-    the order of `itertools.product` over the classes' and runs'
-    permutations.
+    Returns (vorder, forder, code, ties, classes): the first ordering with
+    the least code, every ordering whose code equals it, that one
+    included, in the order of `itertools.product` over the classes' and
+    runs' permutations, and the refined classes.
     """
     best_head = best_erec = None
     ties = []
@@ -579,7 +560,7 @@ def _search(g: Graph):
             best_erec, ties = erec, []
         ties.extend((vorder, forder) for forder in forders)
     vorder, forder = ties[0]
-    return vorder, forder, best_head + (best_erec,), ties
+    return vorder, forder, best_head + (best_erec,), ties, classes
 
 
 def _least_flag_orders(runs, partner, bound):
@@ -664,7 +645,7 @@ def canonical_form(g: Graph):
     inherits the search through the relabeling, so it is never searched.
     """
     g.canonical_key()
-    vorder, forder, code, ties = g._canon
+    vorder, forder, code, ties, classes = g._canon
     vmap = {v: f"v{i}" for i, v in enumerate(vorder)}
     fmap = {f: f"f{i}" for i, f in enumerate(forder)}
     vertices = [vmap[v] for v in vorder]
@@ -681,10 +662,12 @@ def canonical_form(g: Graph):
                   gamma=gamma, orientation=orientation, labels=labels)
     # the orderings of g with the least code, renamed, are those of canon;
     # its vertex tuple is sorted as strings ("v10" < "v2"), so the best
-    # ordering is `vertices`, not `canon.vertices`
+    # ordering is `vertices`, not `canon.vertices`; the refined classes do
+    # not depend on names, and each is sorted as `_refined_classes` sorts it
     canon._canon = (vertices, flags, code,
                     [([vmap[v] for v in tv], [fmap[f] for f in tf])
-                     for tv, tf in ties])
+                     for tv, tf in ties],
+                    [sorted(vmap[v] for v in cls) for cls in classes])
     relabel = {"vertices": vmap, "flags": fmap}
     return canon, relabel
 
@@ -703,8 +686,8 @@ def automorphisms(g: Graph) -> list[tuple[dict, dict]]:
     vertex by (tail, orientation, label) and identifier.
     """
     g.canonical_key()
-    vorder, forder, _, ties = g._canon
-    vkeys = [v for cls in _refined_classes(g) for v in cls]
+    vorder, forder, _, ties, classes = g._canon
+    vkeys = [v for cls in classes for v in cls]
     vidx = {v: i for i, v in enumerate(g.vertices)}
     fkeys = sorted(g.flags, key=lambda f: (
         vidx[g.boundary[f]], g.involution[f] == f,
@@ -755,10 +738,10 @@ class _Insertions:
     """
 
     def __init__(self, cls, signature, max_edges, vertex_types):
-        if isinstance(cls, GraphClass):
-            cls = cls.kind
         if cls not in GRAPH_CLASSES:
             raise ValueError(f"unknown graph class {cls!r}")
+        if max_edges < 0:
+            raise ValueError(f"negative edge bound {max_edges}")
         self.cls, self.max_edges = cls, max_edges
         self.directed = cls.startswith("directed") or "rooted" in cls
         if self.directed:

@@ -10,15 +10,17 @@ computations.
 Concrete instances: endomorphism operads End(V), cyclic/anti-cyclic End(V)
 with a nondegenerate form, the endomorphism PROP, the modular endomorphism
 instance E(V) with form-contraction gluings, suspensions and shifts of all
-of these, and tensor products.  Sign-twisted composition tables are always
-generated mechanically from the even tables plus the twist line data.
+of these, and tensor products.  A sign-twisted instance (`Transported`) wraps
+the even tables and multiplies each composition by a transport sign; those
+signs are formulas written out by hand (`operadic_suspension`'s circ sign,
+`_u_word_transport`), not derived from the twist line data.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -96,25 +98,6 @@ def tensor_kind(k1: str, k2: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# S-modules
-
-
-@dataclass
-class SModule:
-    """Arity-indexed graded components with group actions."""
-
-    flavor: str
-    components: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-
-    def component(self, idx) -> list[BE]:
-        return self.components.get(idx, [])
-
-    def action(self, idx) -> GroupAction:
-        return self.actions[idx]
-
-
-# --------------------------------------------------------------------------
 # position bookkeeping for the rotation storage convention
 
 
@@ -150,24 +133,26 @@ class StructureInstance:
     unit = None  # (index, GradedVector) or None
 
     def __init__(self):
-        self.module = SModule(kind_flavor(self.kind))
-        self._comp_cache: dict = {}
+        kind_flavor(self.kind)  # an unknown kind fails here
+        # not `_components`/`_actions`: generator instances own those names
+        self._built_components: dict = {}
+        self._built_actions: dict = {}
 
     # -- component access ------------------------------------------------
 
     def component(self, idx) -> list[BE]:
-        if idx not in self.module.components:
-            self.module.components[idx] = self._build_component(idx)
-        return self.module.components[idx]
+        if idx not in self._built_components:
+            self._built_components[idx] = self._build_component(idx)
+        return self._built_components[idx]
 
     def action(self, idx) -> GroupAction:
         # the action and its image cache are stored on self, so it is built
         # over a weak proxy: a closure over self would be a reference cycle,
         # and a dropped instance would wait for a full collection
-        if idx not in self.module.actions:
-            self.module.actions[idx] = type(self)._build_action(
+        if idx not in self._built_actions:
+            self._built_actions[idx] = type(self)._build_action(
                 weakref.proxy(self), idx)
-        return self.module.actions[idx]
+        return self._built_actions[idx]
 
     def _build_component(self, idx) -> list[BE]:
         raise NotImplementedError
@@ -280,12 +265,17 @@ class StructureInstance:
 
     # derived set-indexed gluing for cyclic flavors: glue flag s of a to
     # flag t of b through rotations and the basic slot-1 composition
-    def cyc_st(self, ai, a, s, bi, b, t) -> GradedVector:
-        m = bi
+    def rotated_circ(self, ai, a, s, bi, b, t) -> GradedVector:
+        """T^{s-1} a o_1 T^t b: flag s of a meets flag t of b at slot 1."""
         x = self.t_rot(ai, a, (s - 1) % (ai + 1))
         y = self.t_rot(bi, b, t % (bi + 1))
-        z = self.circ(ai, x, 1, bi, y)
-        return self.t_rot(self.circ_index(ai, bi), z, (-(m + 1)) % (ai + bi))
+        return self.circ(ai, x, 1, bi, y)
+
+    def cyc_st(self, ai, a, s, bi, b, t) -> GradedVector:
+        """`rotated_circ`, rotated back to the storage convention."""
+        return self.t_rot(self.circ_index(ai, bi),
+                          self.rotated_circ(ai, a, s, bi, b, t),
+                          (-(bi + 1)) % (ai + bi))
 
     def average(self, idx, v) -> GradedVector:
         return average(self.action(idx), v)
@@ -629,10 +619,6 @@ class EndProp(StructureInstance):
         #            b-duals na+ma..na+ma+nb-1, b-outs ...
         p_dual = i
         p_out = na + ma + nb + j
-        rest = ([k for k in range(na) if k != i]
-                + [na + ma + k for k in range(nb)]
-                + [na + ma + nb + k for k in range(mb) if k != j]
-                + [na + k for k in range(ma)])
         # result order: ins (a minus i, then b ins), outs (b outs minus j, a outs)
         rest = ([k for k in range(i)]
                 + [na + ma + k for k in range(nb)]
@@ -818,7 +804,7 @@ def _u_word_transport(side: str):
     remaining word is reordered to the result storage order.
     """
 
-    def circ_st_sign(ai, x, i, bi, y, j, inverse=False):
+    def circ_st_sign(ai, x, i, bi, y, j):
         na, ma = ai
         nb, mb = bi
         if side == "out":
@@ -831,7 +817,6 @@ def _u_word_transport(side: str):
             e = k * (x.degree % 2)
             # gluing kills the marker of input i of a
             e += i
-            e += (na - 1 - i) * 0 + 0
             # reorder remaining a-markers (i removed) + b-markers to result
             # order (a: 0..i-1, b-markers, a: i+1..): move b-block before tail
             e += nb * (na - 1 - i)
@@ -1202,18 +1187,15 @@ def block_insert(sigma: Perm, i: int, tau: Perm) -> Perm:
     return tuple(out)
 
 
-def check_axioms(o: StructureInstance, max_arity: int = 3,
-                 stop_early: bool = True) -> Report:
+def check_axioms(o: StructureInstance, max_arity: int = 3) -> Report:
     """Exhaustive verification of the kind's defining identities on basis
-    elements up to the arity bound.  Returns the first counterexample found
-    unless stop_early is false."""
+    elements up to the arity bound.  Stops at the first counterexample."""
     fl = kind_flavor(o.kind)
     odd = kind_is_odd(o.kind)
-    failures = []
     checked = 0
 
-    def note(kind, **data):
-        failures.append({"check": kind, **data})
+    def fail(kind, **data):
+        return Report(False, checked, [{"check": kind, **data}])
 
     def shift_deg(x):
         return x.degree - 1 if odd else x.degree
@@ -1236,10 +1218,9 @@ def check_axioms(o: StructureInstance, max_arity: int = 3,
                                         rhs = _assoc_rhs(o, n, a, i, m, b, j, l, c,
                                                          shift_deg)
                                         if lhs != rhs:
-                                            note("associativity", a=a.ident,
-                                                 b=b.ident, c=c.ident, i=i, j=j)
-                                            if stop_early:
-                                                return Report(False, checked, failures)
+                                            return fail("associativity",
+                                                        a=a.ident, b=b.ident,
+                                                        c=c.ident, i=i, j=j)
         # units
         if o.unit is not None:
             ui, uvec = o.unit
@@ -1247,14 +1228,10 @@ def check_axioms(o: StructureInstance, max_arity: int = 3,
                 for a in o.component(n):
                     va = GradedVector.unit(a)
                     if o.circ(ui, uvec, 1, n, va) != va:
-                        note("left-unit", a=a.ident)
-                        if stop_early:
-                            return Report(False, checked, failures)
+                        return fail("left-unit", a=a.ident)
                     for i in range(1, n + 1):
                         if o.circ(n, va, i, ui, uvec) != va:
-                            note("right-unit", a=a.ident, i=i)
-                            if stop_early:
-                                return Report(False, checked, failures)
+                            return fail("right-unit", a=a.ident, i=i)
                     checked += n + 1
         # equivariance
         for n in arities:
@@ -1278,10 +1255,9 @@ def check_axioms(o: StructureInstance, max_arity: int = 3,
                                     pi_full = _lift_perm(o, fl, n + m - 1, pi)
                                     rhs = o.act(n + m - 1, pi_full, inner)
                                     if lhs != rhs:
-                                        note("equivariance", a=a.ident, b=b.ident,
-                                             i=i, sigma=sg, tau=tg)
-                                        if stop_early:
-                                            return Report(False, checked, failures)
+                                        return fail("equivariance", a=a.ident,
+                                                    b=b.ident, i=i, sigma=sg,
+                                                    tau=tg)
     if fl == "cyclic":
         # rotation compatibility
         sign_flip = {"cyclic": 1, "anti-cyclic": -1, "odd-cyclic": -1}[o.kind]
@@ -1289,9 +1265,7 @@ def check_axioms(o: StructureInstance, max_arity: int = 3,
             ui, uvec = o.unit
             tu = o.t_rot(ui, uvec)
             if tu != uvec.scale(sign_flip):
-                note("unit-rotation")
-                if stop_early:
-                    return Report(False, checked, failures)
+                return fail("unit-rotation")
         for n in range(1, max_arity + 1):
             for m in range(1, max_arity + 1):
                 if n + m - 1 > max_arity:
@@ -1307,15 +1281,10 @@ def check_axioms(o: StructureInstance, max_arity: int = 3,
                         rhs = o.circ(m, o.t_rot(m, GradedVector.unit(b)), m,
                                      n, o.t_rot(n, GradedVector.unit(a))).scale(sgn)
                         if lhs != rhs:
-                            note("rotation", a=a.ident, b=b.ident)
-                            if stop_early:
-                                return Report(False, checked, failures)
+                            return fail("rotation", a=a.ident, b=b.ident)
     if fl == "modular":
-        failures_before = len(failures)
-        checked = _check_modular(o, max_arity, checked, note, odd)
-        if stop_early and len(failures) > failures_before:
-            return Report(False, checked, failures)
-    return Report(not failures, checked, failures)
+        return _check_modular(o, max_arity, checked, odd)
+    return Report(True, checked, [])
 
 
 def _lift_perm(o, fl, n, p):
@@ -1343,7 +1312,7 @@ def _assoc_rhs(o, n, a, i, m, b, j, l, c, shift_deg):
     return o.circ(n + l - 1, inner, i, m, GradedVector.unit(b)).scale(eps)
 
 
-def _check_modular(o, max_flags, checked, note, odd):
+def _check_modular(o, max_flags, checked, odd) -> Report:
     """Gluings commute (even kinds) or anticommute (odd kinds)."""
     sgn = -1 if odd else 1
     idxs = [(g, n) for g in range(0, 2) for n in range(2, max_flags + 1)]
@@ -1369,9 +1338,10 @@ def _check_modular(o, max_flags, checked, note, odd):
                 except TruncationExceeded:
                     continue
                 if first != second.scale(sgn):
-                    note("self-gluing-exchange", a=a.ident, pairs=((s, t), (u, v)))
-                    return checked
-    return checked
+                    return Report(False, checked, [{
+                        "check": "self-gluing-exchange", "a": a.ident,
+                        "pairs": ((s, t), (u, v))}])
+    return Report(True, checked, [])
 
 
 def _renumber_pair(n, s, t, u, v):
@@ -1419,10 +1389,6 @@ def _ident_to_str(ident) -> str:
     return _json.dumps(conv(ident), separators=(",", ":"), sort_keys=True)
 
 
-def _idx_to_str(idx) -> str:
-    return _ident_to_str(idx)
-
-
 def _perm_word(p: Perm) -> list:
     """Decompose a permutation into adjacent transposition indices."""
     arr = list(p)
@@ -1436,7 +1402,7 @@ def _perm_word(p: Perm) -> list:
     return word
 
 
-def dump_instance(o: StructureInstance, indices, max_slot=None) -> dict:
+def dump_instance(o: StructureInstance, indices) -> dict:
     """Serialize components, actions and composition tables to JSON data."""
     fl = kind_flavor(o.kind)
     comps = {}
@@ -1452,7 +1418,7 @@ def dump_instance(o: StructureInstance, indices, max_slot=None) -> dict:
                 matrix[_ident_to_str(be.ident)] = sorted(
                     [[_ident_to_str(b.ident), str(c)] for b, c in img.terms.items()])
             gen_data.append({"element": _ident_to_str(g), "matrix": matrix})
-        comps[_idx_to_str(idx)] = {
+        comps[_ident_to_str(idx)] = {
             "basis": sorted([{"id": _ident_to_str(b.ident), "degree": b.degree}
                              for b in basis], key=lambda r: r["id"]),
             "generators": gen_data,
@@ -1472,16 +1438,16 @@ def dump_instance(o: StructureInstance, indices, max_slot=None) -> dict:
                                 continue
                             compositions.append({
                                 "op": "circ_i",
-                                "a": [_idx_to_str(ia), _ident_to_str(a.ident)],
+                                "a": [_ident_to_str(ia), _ident_to_str(a.ident)],
                                 "i": i,
-                                "b": [_idx_to_str(ib), _ident_to_str(b.ident)],
+                                "b": [_ident_to_str(ib), _ident_to_str(b.ident)],
                                 "result": sorted([[_ident_to_str(x.ident), str(c)]
                                                   for x, c in res.terms.items()]),
                             })
     unit = None
     if o.unit is not None:
         ui, uv = o.unit
-        unit = {"index": _idx_to_str(ui),
+        unit = {"index": _ident_to_str(ui),
                 "vector": sorted([[_ident_to_str(b.ident), str(c)]
                                   for b, c in uv.terms.items()])}
     return {"flavor": fl, "kind": o.kind,

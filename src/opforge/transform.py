@@ -53,19 +53,20 @@ class GeneratorInstance(StructureInstance):
         return self._actions[idx]
 
 
+def _trivial_generator(kind, types, degree) -> GeneratorInstance:
+    """One-dimensional trivial generators of the given degree, one per
+    type: a (g, n) pair or an arity n, with the identifier ("gen", *type)."""
+    comps, acts = {}, {}
+    for t in types:
+        key = t if isinstance(t, tuple) else (t,)
+        comps[t] = [BE(("gen",) + key, degree)]
+        acts[t] = symmetric_action(key[-1], lambda p, a: GradedVector.unit(a))
+    return GeneratorInstance(kind, comps, acts)
+
+
 def trivial_modular_generator(types, degree=0) -> GeneratorInstance:
     """One-dimensional trivial generators at the given (g, n) types."""
-    comps = {}
-    acts = {}
-    for (g, n) in types:
-        be = BE(("gen", g, n), degree)
-        comps[(g, n)] = [be]
-
-        def apply_basis(p, a):
-            return GradedVector.unit(a)
-
-        acts[(g, n)] = symmetric_action(n, apply_basis)
-    return GeneratorInstance("modular", comps, acts)
+    return _trivial_generator("modular", [tuple(t) for t in types], degree)
 
 
 # --------------------------------------------------------------------------
@@ -282,9 +283,20 @@ class FreeTwisted(StructureInstance):
                        graph.boundary, genus=graph.genus, gamma=graph.gamma,
                        orientation=graph.orientation, labels=labels)
 
-    def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
+    def _graft(self, ridx, ai, a, amap, bi, b, bmap) -> GradedVector:
+        """Glue the tail of a labelled "glue-a" by `amap` to the tail of b
+        labelled "glue-b" by `bmap`; the maps relabel the other positions."""
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
+        ga = self._relabel_positions(block_a.graph, amap)
+        gb = self._relabel_positions(block_b.graph, bmap)
+        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
+        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
+        return self._glue(ridx, glued, [(block_a, raw_a, None, None),
+                                        (block_b, raw_b, vmap, fmap)],
+                          new_edge=(sf, fmap[tf]))
+
+    def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
         # surviving positions: a's after s, then b's after t
         amap = {_position_label(p): _position_label(new)
                 for new, p in enumerate(rotation_order(ai[1], s))}
@@ -292,14 +304,8 @@ class FreeTwisted(StructureInstance):
                 for new, p in enumerate(rotation_order(bi[1], t))}
         amap[_position_label(s)] = "glue-a"
         bmap[_position_label(t)] = "glue-b"
-        ga = self._relabel_positions(block_a.graph, amap)
-        gb = self._relabel_positions(block_b.graph, bmap)
-        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
-        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
-        return self._glue(self.circ_st_index(ai, bi), glued,
-                          [(block_a, raw_a, None, None),
-                           (block_b, raw_b, vmap, fmap)],
-                          new_edge=(sf, fmap[tf]))
+        return self._graft(self.circ_st_index(ai, bi), ai, a, amap, bi, b,
+                           bmap)
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
         block_a, raw_a = self.expand(ai, a)
@@ -427,32 +433,27 @@ def free_construct(gen: StructureInstance, kind: str, twist: str,
     """Free (twisted) instance on the generators, truncated at `bound` edges.
 
     twist "K" builds the odd version (edge determinant line, edges of degree
-    -1), twist "1" the even one.
+    -1), twist "1" the even one; a K-twisted kind needs twist "K".
     """
     if twist not in ("K", "1"):
         raise NonInvertibleTwist(f"unsupported twist {twist!r}")
     if kind not in ("modular", "k-modular", "nc-modular", "nc-k-modular"):
         raise UnsupportedKind(kind)
-    odd = twist == "K"
-    kind_map = {
-        ("modular", False): "modular", ("modular", True): "k-modular",
-        ("k-modular", True): "k-modular",
-        ("nc-modular", False): "nc-modular",
-        ("nc-modular", True): "nc-k-modular",
-        ("nc-k-modular", True): "nc-k-modular",
-    }
-    actual = kind_map.get((kind, odd), kind)
-    return FreeTwisted(gen, actual, bound, edge_degree=-1 if odd else 0)
+    if twist == "1":
+        if kind_is_odd(kind):
+            raise NonInvertibleTwist(f"{kind} needs the twist K, not 1")
+        return FreeTwisted(gen, kind, bound, edge_degree=0)
+    odd_kind = {"modular": "k-modular", "nc-modular": "nc-k-modular"}
+    return FreeTwisted(gen, odd_kind.get(kind, kind), bound, edge_degree=-1)
 
 
-def nc_extension(o: StructureInstance, bound: int | None = None) -> StructureInstance:
+def nc_extension(o: StructureInstance) -> StructureInstance:
     """The free nc version: disconnected composition graphs with box = union."""
     if isinstance(o, FreeTwisted):
         kind = {"modular": "nc-modular", "k-modular": "nc-k-modular"}.get(
             o.kind, o.kind)
-        return FreeTwisted(o.gen, kind, o.max_edges if bound is None else bound,
-                           edge_degree=o.edge_degree)
-    return NcTensorExtension(o, bound or 2)
+        return FreeTwisted(o.gen, kind, o.max_edges, edge_degree=o.edge_degree)
+    return NcTensorExtension(o)
 
 
 class NcTensorExtension(StructureInstance):
@@ -502,8 +503,6 @@ class NcTensorExtension(StructureInstance):
                         blocks = [((g, len(p)), b, tuple(p))
                                   for g, p, b in zip(gs, parts, combo)]
                         sign, norm = self.normalize(blocks)
-                        if sign == 0:
-                            continue
                         be = self._be(norm)
                         if sign == 1 and be.ident not in seen:
                             seen.add(be.ident)
@@ -523,8 +522,7 @@ class NcTensorExtension(StructureInstance):
                 sign, norm = self.normalize(
                     [(bidx, b2, tuple(sorted(labels)))
                      for (bidx, _, labels), b2 in zip(blocks, factors)])
-                if sign:
-                    out = out + GradedVector.unit(self._be(norm), sign * c)
+                out = out + GradedVector.unit(self._be(norm), sign * c)
             return out
 
         return symmetric_action(n, apply_basis)
@@ -538,23 +536,15 @@ class NcTensorExtension(StructureInstance):
         if len(blocks_a) + len(shifted_b) > self.max_factors:
             raise TruncationExceeded("too many horizontal factors")
         sign, norm = self.normalize(blocks_a + shifted_b)
-        if not sign:
-            return GradedVector()
         return GradedVector.unit(self._be(norm), sign)
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
         blocks = self._split(a)
-        ps = self._locate(blocks, s)
-        pt = self._locate(blocks, t)
+        ps = _locate(blocks, s)
+        pt = _locate(blocks, t)
         if ps[0] == pt[0]:
             return self._internal_glue(ai, blocks, ps, pt)
         return self._cross_glue(ai, blocks, ps, pt)
-
-    def _locate(self, blocks, pos):
-        for bi, (_, _, labels) in enumerate(blocks):
-            if pos in labels:
-                return (bi, labels.index(pos))
-        raise ValueError(pos)
 
     def _dress(self, blocks, upto):
         """Sign for the odd gluing operator passing the earlier blocks."""
@@ -604,9 +594,7 @@ class NcTensorExtension(StructureInstance):
         for b2, c2 in glued.terms.items():
             blocks2 = rest + [(ridx, b2, new_labels)]
             sign, norm = self.normalize(blocks2)
-            if sign:
-                out = out + GradedVector.unit(self._be(norm),
-                                              sign * c2 * dress)
+            out = out + GradedVector.unit(self._be(norm), sign * c2 * dress)
         return out
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
@@ -624,6 +612,14 @@ class NcTensorExtension(StructureInstance):
         gamma = sum(idx[0] for idx, _, _ in blocks)
         n = sum(len(labels) for _, _, labels in blocks)
         return (gamma, n)
+
+
+def _locate(blocks, pos):
+    """(i, j) with pos the j-th label of blocks[i], whose labels come last."""
+    for i, block in enumerate(blocks):
+        if pos in block[-1]:
+            return i, block[-1].index(pos)
+    raise ValueError(pos)
 
 
 def _ordered_partitions(items, k):
@@ -678,8 +674,6 @@ class FreeOperad(FreeTwisted):
         return len(graph.tails()) - 1
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
-        block_a, raw_a = self.expand(ai, a)
-        block_b, raw_b = self.expand(bi, b)
         # b's leaves take the place of leaf i; later leaves of a move up
         amap = {_position_label(k): _position_label(k + bi - 1)
                 for k in range(i, ai)}
@@ -687,14 +681,7 @@ class FreeOperad(FreeTwisted):
         bmap = {_position_label(k): _position_label(i - 1 + k)
                 for k in range(bi)}
         bmap["r"] = "glue-b"
-        ga = self._relabel_positions(block_a.graph, amap)
-        gb = self._relabel_positions(block_b.graph, bmap)
-        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
-        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
-        return self._glue(ai + bi - 1, glued,
-                          [(block_a, raw_a, None, None),
-                           (block_b, raw_b, vmap, fmap)],
-                          new_edge=(sf, fmap[tf]))
+        return self._graft(ai + bi - 1, ai, a, amap, bi, b, bmap)
 
 
 def free_operad(gen: StructureInstance, max_edges: int) -> FreeOperad:
@@ -702,17 +689,7 @@ def free_operad(gen: StructureInstance, max_edges: int) -> FreeOperad:
 
 
 def trivial_operadic_generator(arities, degree=0) -> GeneratorInstance:
-    comps = {}
-    acts = {}
-    for n in arities:
-        be = BE(("gen", n), degree)
-        comps[n] = [be]
-
-        def apply_basis(p, a):
-            return GradedVector.unit(a)
-
-        acts[n] = symmetric_action(n, apply_basis)
-    return GeneratorInstance("operad", comps, acts)
+    return _trivial_generator("operad", arities, degree)
 
 
 # --------------------------------------------------------------------------
@@ -726,10 +703,9 @@ class DgInstance:
     must square to zero and be a derivation for the compositions.
     """
 
-    def __init__(self, inst: StructureInstance, diff=None, twist: str = "1"):
+    def __init__(self, inst: StructureInstance, diff=None):
         self.inst = inst
         self.diff = diff or (lambda idx, v: GradedVector())
-        self.twist = twist
 
     def d(self, idx, v: GradedVector) -> GradedVector:
         return self.diff(idx, v)
@@ -771,8 +747,7 @@ def dual_generator_instance(o: StructureInstance, window) -> GeneratorInstance:
         basis = o.component(idx)
         comps[idx] = [BE(("dl", b.ident), -b.degree) for b in basis]
         acts[idx] = _dual_action(o, idx, basis)
-    return GeneratorInstance(o.kind if not kind_is_odd(o.kind) else o.kind,
-                             comps, acts)
+    return GeneratorInstance(o.kind, comps, acts)
 
 
 def _dual_action(o, idx, basis):
@@ -893,6 +868,10 @@ class FeynmanTransform:
         if getattr(source.inst, "form", None) is not None \
                 and source.inst.form.degree % 2:
             raise NonInvertibleTwist("transform needs an even-degree gluing")
+        if kind_is_odd(source.inst.kind):
+            # its transform needs an untwisted target, which is not built
+            raise UnsupportedKind(f"the Feynman transform of a "
+                                  f"{source.inst.kind} instance")
         self.source = source
         self.window = (closed_window(window, max_edges) if close_window
                        else list(window))
@@ -1362,13 +1341,6 @@ class _RowWords(StructureInstance):
         return self._sorted_rows([(x, tuple(p[l] for l in ls))
                                   for x, ls in rows])
 
-    @staticmethod
-    def _locate(rows, pos):
-        for p, (_, labels) in enumerate(rows):
-            if pos in labels:
-                return p, labels.index(pos)
-        raise ValueError(pos)
-
     def _insert(self, na, rows_a, i, rows_b, j) -> GradedVector:
         """Insert row j of b into input i (0-based) of a, which has na inputs.
 
@@ -1376,7 +1348,7 @@ class _RowWords(StructureInstance):
         inputs move down by one, b's inputs follow a's, and b's other rows
         follow a's rows.
         """
-        p, slot = self._locate(rows_a, i)
+        p, slot = _locate(rows_a, i)
         target, labels_t = rows_a[p]
         src, labels_s = rows_b[j]
         glued = self.base.circ(len(labels_t), GradedVector.unit(target),

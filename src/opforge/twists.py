@@ -441,26 +441,6 @@ def standard_twist(name: str) -> TwistCocycle:
     raise InputError(f"unknown twist {name!r}")
 
 
-def eval_standard(name: str, graph) -> tuple[int, callable]:
-    line = standard_twist(name).line(graph)
-    return line.degree, line.char
-
-
-def coboundary(data: CoboundaryData | str, graph) -> tuple[int, callable]:
-    if isinstance(data, str):
-        data = COBOUNDARIES[data]()
-    line = Coboundary(data).line(graph)
-    return line.degree, line.char
-
-
-def combine(a: TwistCocycle, b: TwistCocycle | None, op: str) -> TwistCocycle:
-    if op == "tensor":
-        return TensorCocycle(a, b)
-    if op == "inverse":
-        return InverseCocycle(a)
-    raise InputError(f"unknown combination {op!r}")
-
-
 def parse_twist(expr: str) -> TwistCocycle:
     """Grammar: K | T | DetH1 | L | D[s] | D[st] | D[Sigma] | D[s_out]
     | inv(e) | e*e."""
@@ -510,13 +490,12 @@ class IsoReport:
     mismatch: dict | None
 
 
-def verify_isomorphism(a: TwistCocycle, b: TwistCocycle, family,
+def verify_isomorphism(a: TwistCocycle, b: TwistCocycle, family: str,
                        max_edges: int, max_tails: int = 4,
                        genus_values=(0, 1), signatures=None) -> IsoReport:
     """Compare (degree, character) of two cocycles on every isomorphism
-    class of the family within the bound; report the first mismatch."""
-    if isinstance(family, str):
-        family = G.GraphClass(family)
+    class of the family, a name in `G.GRAPH_CLASSES`, within the bound;
+    report the first mismatch."""
     checked = 0
     for graph in _family_graphs(family, max_edges, max_tails, genus_values,
                                 signatures):
@@ -536,9 +515,8 @@ def verify_isomorphism(a: TwistCocycle, b: TwistCocycle, family,
     return IsoReport(True, checked, None)
 
 
-def _family_graphs(family: G.GraphClass, max_edges, max_tails, genus_values,
+def _family_graphs(kind: str, max_edges, max_tails, genus_values,
                    signatures):
-    kind = family.kind
     if signatures is None:
         signatures = []
         directed = kind.startswith("directed") or "rooted" in kind

@@ -209,6 +209,21 @@ def test_twist_verify_mismatch_exits_1():
     ("feynman", "--in", "cyclic-end.json"),
     ("feynman", "--in", "end-prop.json", "--max-edges", "1"),
     ("verify", "axioms", "--in", "table-12.json"),
+    ("twist", "verify", "--a", "K", "--b", "K", "--family", "nosuch"),
+    ("twist", "verify", "--a", "K"),
+    ("twist", "eval", "--in", "rose.json"),
+    ("bracket", "jacobi"),
+    ("graphs", "enumerate", "--g", "-1", "--labels", "2"),
+    ("graphs", "enumerate", "--max-edges", "-1", "--g", "0", "--labels", "3"),
+    ("free", "--generators", "g03.json", "--bound", "-1"),
+    ("feynman", "--in", "e.json", "--max-edges", "-1"),
+    ("feynman", "--in", "e.json", "--window", "5"),
+    ("feynman", "--in", "e.json", "--max-edges", "1", "--samples", "-1"),
+    # a K-twisted kind under the trivial twist
+    ("free", "--generators", "g03.json", "--kind", "k-modular", "--twist",
+     "1"),
+    ("free", "--generators", "g03.json", "--kind", "nc-k-modular",
+     "--twist", "1"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, inputs):
     code, out, err = forge(*argv)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graph_oracle import brute_enumerate_graphs, brute_search
 from opforge import graphs as G
 from opforge.errors import NotAnEdge, NotATail, NotConnected
-from opforge.graphs import (GRAPH_CLASSES, Graph, GraphClass, additive_gamma,
+from opforge.graphs import (GRAPH_CLASSES, Graph, additive_gamma,
                             automorphisms, canonical_form, classify,
                             contract_edge, corolla, enumerate_graphs, graft,
                             merge_vertices, self_glue, total_gamma,
@@ -177,7 +177,7 @@ def test_classify():
     oriented = graft(corolla("u", ["a"], orientation={"a": "out"}), "a",
                      corolla("w", ["b"], orientation={"b": "in"}), "b")
     assert classify(oriented, "directed-no-wheels")
-    assert classify(oriented, GraphClass("directed-tree"))
+    assert classify(oriented, "directed-tree")
 
 
 def test_classify_wheel():
@@ -474,7 +474,7 @@ def _small_graphs(draw):
 
 
 def _assert_search_matches_brute_force(g):
-    vorder, forder, code, ties = G._search(g)
+    vorder, forder, code, ties = G._search(g)[:4]
     want = brute_search(g)
     assert (vorder, forder, code) == want[:3]
     assert ties == want[3]  # the same orderings, in the same order
@@ -518,6 +518,32 @@ def test_search_past_brute_force_reach(graph, order):
     assert a == b
     assert len(automorphisms(g)) == order
     assert time.perf_counter() - start < 1.0
+
+
+def test_one_vertex_refinement_per_search(monkeypatch):
+    # the search keeps its refined classes; `automorphisms` and the
+    # canonical graph read them instead of refining again
+    calls = {"refine": 0, "search": 0}
+    refine, search = G._refined_classes, G._search
+
+    def counting(name, fn):
+        def wrapper(g):
+            calls[name] += 1
+            return fn(g)
+        return wrapper
+
+    monkeypatch.setattr(G, "_refined_classes", counting("refine", refine))
+    monkeypatch.setattr(G, "_search", counting("search", search))
+    found = enumerate_graphs("stable-graph",
+                             {"labels": ["1", "2"], "genus": 1}, 3)
+    rng = random.Random(7)
+    for g in found:
+        automorphisms(g)
+        automorphisms(canonical_form(_relabel(g, rng))[0])
+    assert calls["search"] > len(found)
+    assert calls["refine"] == calls["search"]
+    for g in found:  # canonical forms: the handed-down classes are theirs
+        assert g._canon[4] == refine(g)
 
 
 # -- enumeration --------------------------------------------------------------

@@ -11,7 +11,8 @@ from master_oracle import MorphismChecker
 from opforge.brackets import (SumElement, boxminus, bv_verify, cyclic_bracket,
                               delta, dioperadic_product, lie_bracket, prelie,
                               project_coinvariants)
-from opforge.errors import TruncationExceeded, UnsupportedKind
+from opforge.errors import (NonInvertibleTwist, TruncationExceeded,
+                            UnsupportedKind)
 from opforge.graphs import enumerate_graphs
 from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
                                koszul_sign, rank_of)
@@ -707,6 +708,20 @@ def _dg_e4():
     d_space = {"a": GradedVector.unit(BE("b", 0)),
                "c": GradedVector.unit(BE("z", 1))}
     return DgInstance(E, modular_e_differential(E, d_space))
+
+
+def test_feynman_transform_refuses_an_odd_source():
+    # an odd source needs an untwisted target with edges of degree 0
+    free = free_construct(trivial_modular_generator([(0, 3)]), "modular",
+                          "K", 1)
+    with pytest.raises(UnsupportedKind):
+        FeynmanTransform(DgInstance(free), [(0, 3)], 1)
+    # an odd form keeps its own error, checked first
+    V = [BE("x", 0), BE("y", -1)]
+    odd = ModularE(V, BilinearForm(V, {("x", "y"): 1}, degree=1))
+    assert odd.kind == "k-modular"
+    with pytest.raises(NonInvertibleTwist):
+        FeynmanTransform(DgInstance(odd), [(0, 3)], 1)
 
 
 def test_feynman_internal_differential():

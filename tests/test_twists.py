@@ -4,10 +4,9 @@ import pytest
 
 from opforge import graphs as G
 from opforge.errors import InputError
-from opforge.twists import (Coboundary, CoboundaryData, coboundary, combine,
-                            contract_blocks, eval_standard, parse_twist,
-                            standard_twist, tower_consistent,
-                            verify_isomorphism)
+from opforge.twists import (COBOUNDARIES, Coboundary, CoboundaryData,
+                            contract_blocks, parse_twist, standard_twist,
+                            tower_consistent, verify_isomorphism)
 
 
 def theta():
@@ -87,7 +86,8 @@ def test_coboundary_trivial_on_corolla():
     corolla = G.corolla("v", ["1", "2", "3"],
                         labels={"1": "1", "2": "2", "3": "3"})
     for name in ("s", "st", "Sigma"):
-        deg, char = coboundary(name, corolla)
+        line = Coboundary(COBOUNDARIES[name]()).line(corolla)
+        deg, char = line.degree, line.char
         assert deg == 0
         for vm, fm in G.automorphisms(corolla):
             assert char(vm, fm) == 1
@@ -177,9 +177,9 @@ def test_k_gauge_witness_on_trees():
 
 def test_combine():
     g = theta()
-    a = combine(K, K, "tensor")
+    a = K * K
     assert a.line(g).degree == -6
-    b = combine(K, None, "inverse")
+    b = K.inverse()
     assert b.line(g).degree == 3
 
 
