@@ -7,7 +7,9 @@ then act on each factor by the permutation its positions went through.
 Each corpus below dumps every group element on every basis element and
 every gluing over its listed indices, sorted, and compares the sha256 of
 the dump with a digest recorded while five separate loops implemented the
-rule, before they became `smodules.transport`.
+rule, before they became `smodules.transport`.  The `brackets` corpus
+dumps the brackets, Delta and the horizontal product on basis elements and
+on sums of them, as they were while each kept its own summing loop.
 """
 
 import contextlib
@@ -17,14 +19,18 @@ import io
 
 import pytest
 
+from opforge import brackets as B
 from opforge import cli
 from opforge import graphs as G
 from opforge.brackets import SumElement
 from opforge.errors import KindMismatch, TruncationExceeded
 from opforge.gradedlin import BE, GradedVector
-from opforge.smodules import BilinearForm, EndOperad, ModularE, decorate
+from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp,
+                              ModularE, decorate, naive_shift,
+                              operadic_suspension)
 from opforge.transform import (DgInstance, FeynmanTransform,
-                               NcTensorExtension, free_construct, nc_operad,
+                               NcTensorExtension, free_construct,
+                               nc_extension, nc_operad,
                                prop_generated_by_operad,
                                trivial_modular_generator)
 
@@ -219,6 +225,75 @@ def feynman_records():
     return records
 
 
+def _sum_parts(f):
+    try:
+        return tuple((repr(idx), _vec(v)) for idx, v in f().items())
+    except (TruncationExceeded, KindMismatch) as exc:
+        return type(exc).__name__
+
+
+def _bracket_inputs(o, indices):
+    """Every basis element alone, the sum over each component with distinct
+    coefficients, and the sum of those: sums make gluings of different
+    basis pairs and different components land on the same terms."""
+    singles = [SumElement.single(idx, GradedVector.unit(be))
+               for idx in indices for be in o.component(idx)]
+    totals = [SumElement({idx: GradedVector(
+        {be: k + 1 for k, be in enumerate(o.component(idx))})})
+        for idx in indices]
+    grand = SumElement()
+    for t in totals:
+        grand = grand + t
+    return singles + totals + [grand]
+
+
+def _shifted_plane():
+    space = [BE("x", 1), BE("y", -1)]
+    return space, BilinearForm(space, {("x", "y"): 1}, degree=0,
+                               symmetry="sym")
+
+
+def brackets_records():
+    space, form = _shifted_plane()
+    E = EndOperad(space, max_arity=3)
+    wheeled = EndProp([BE("x", 0), BE("y", 1)], max_in=4, max_out=4,
+                      wheeled=True)
+    bimodule = (B.dioperadic_product, B.dioperadic_bracket, B.boxminus)
+    instances = (
+        ("end", E, [1, 2], (B.prelie, B.lie_bracket), ()),
+        ("odd-end", naive_shift(operadic_suspension(E), "sigma"), [1, 2],
+         (B.prelie, B.odd_bracket), ()),
+        ("cyclic", CyclicEnd(space, form, max_arity=3), [1, 2],
+         (B.prelie, B.lie_bracket, B.cyclic_bracket), ()),
+        ("odd-modular", ModularE(*_odd_plane(), max_flags=6, max_genus=3),
+         [(0, 2), (0, 3)], (B.cyclic_bracket,), (B.delta,)),
+        ("wheeled", wheeled, [(1, 1), (2, 1)], bimodule, (B.delta,)),
+        ("odd-wheeled", naive_shift(wheeled, "out"), [(1, 1), (2, 1)],
+         bimodule, (B.delta,)),
+        ("nc-tensor", NcTensorExtension(
+            ModularE(*_odd_line(), max_flags=6, max_genus=3), 4),
+         [(0, 2), (0, 3), (1, 1)], (B.cyclic_bracket, B.boxminus),
+         (B.delta,)),
+        # the nc free construction of the coinvariants benchmark
+        ("nc-free", nc_extension(free_construct(
+            trivial_modular_generator([(0, 3)]), "modular", "K", 2)),
+         [(0, 3), (0, 4), (1, 1)], (B.cyclic_bracket, B.boxminus),
+         (B.delta,)),
+    )
+    records = []
+    for name, o, indices, binary, unary in instances:
+        xs = _bracket_inputs(o, indices)
+        for x in xs:
+            for op in unary:
+                records.append((name, op.__name__, repr(x),
+                                _sum_parts(lambda: op(x, o))))
+            for y in xs:
+                for op in binary:
+                    records.append((name, op.__name__, repr(x), repr(y),
+                                    _sum_parts(lambda: op(x, y, o))))
+    return records
+
+
 FREE_INPUT = '{"types": [[0, 3]], "report": [[0, 3], [0, 4], [1, 1], [1, 2]]}'
 FEYNMAN_INPUT = ('{"builtin": {"name": "modular-e", "space": [["x", 0]],'
                  ' "max_flags": 8, "max_genus": 2, "form": {"entries":'
@@ -256,6 +331,8 @@ PINNED = {
     "18cfdfd36a115405f43be9cd29aa7544a8caa9eb49afceb73178925a203b6f33",
     "feynman":
     "daafce5cde83d8faf18e0ffc542fd8f6e4680ca3b41e1313645b47bf0da94ee0",
+    "brackets":
+    "e33a0b1cd36388d7c333c5f884181f6fbfb8f8cd89d741c4453ab9a813a447e5",
 }
 
 
@@ -266,6 +343,7 @@ PINNED = {
     ("decorate", decorate_records),
     ("nc_free", nc_free_records),
     ("feynman", feynman_records),
+    ("brackets", brackets_records),
 ])
 def test_factor_moves_match_the_pinned_dump(name, dump):
     assert _digest(dump()) == PINNED[name]
