@@ -6,6 +6,11 @@ on odd kinds (with the shifted sign rule), the rotation-summed bracket on
 Odd self-gluings give the operator Delta, horizontal composition upgrades
 the brackets to Gerstenhaber brackets and Delta to a BV operator; both
 upgrades are verified here on coinvariants.
+
+Each of these operations is a sum of basis-level gluings: one-edge gluings
+for the products and brackets, one-loop self-gluings for Delta, disjoint
+union for the horizontal product.  Each lists its gluings as (component,
+vector) pairs and `_summed` adds them up, once, into one dict per component.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KindMismatch, NotAssociativeMultiplication
-from .gradedlin import GradedVector, Q, cyclic_operator_N
+from .gradedlin import ZERO, GradedVector, Q, cyclic_operator_N
 from .smodules import (StructureInstance, kind_flavor, kind_has_box,
                        kind_has_self, kind_is_odd)
 
@@ -74,6 +79,19 @@ def _homogeneous_pieces(v: GradedVector):
     return [(d, GradedVector(t)) for d, t in sorted(by_deg.items())]
 
 
+def _summed(o: StructureInstance, placed) -> SumElement:
+    """Add up (component, vector) pairs.  A term goes to the component its
+    basis element names (`component_of_basis`, for free and nc instances),
+    else to the component it is paired with."""
+    acc: dict = {}
+    for idx, v in placed:
+        for be, c in v.terms.items():
+            key = o.component_of_basis(be)
+            terms = acc.setdefault(idx if key is None else key, {})
+            terms[be] = terms.get(be, ZERO) + c
+    return SumElement({idx: GradedVector(t) for idx, t in acc.items()})
+
+
 def _pairs(a: SumElement, b: SumElement):
     for ia, va in a.items():
         for da, ha in _homogeneous_pieces(va):
@@ -90,14 +108,9 @@ def prelie(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     """a o b = sum_i a o_i b, the summed insertion."""
     if kind_flavor(o.kind) not in ("operadic", "cyclic"):
         raise KindMismatch(o.kind)
-    out = SumElement()
-    for ia, va in a.items():
-        for ib, vb in b.items():
-            acc = GradedVector()
-            for i in range(1, ia + 1):
-                acc = acc + o.circ(ia, va, i, ib, vb)
-            out = out + SumElement.single(o.circ_index(ia, ib), acc)
-    return out
+    return _summed(o, ((o.circ_index(ia, ib), o.circ(ia, va, i, ib, vb))
+                       for ia, va in a.items() for ib, vb in b.items()
+                       for i in range(1, ia + 1)))
 
 
 def _commutator(product, shift: int, a: SumElement, b: SumElement,
@@ -135,19 +148,11 @@ def cyclic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumEle
     fl = kind_flavor(o.kind)
     if fl not in ("cyclic", "modular", "nc-modular"):
         raise KindMismatch(o.kind)
-    out = SumElement()
-    for ia, va in a.items():
-        for ib, vb in b.items():
-            ridx = o.circ_st_index(ia, ib) if fl != "cyclic" else o.circ_index(ia, ib)
-            acc = GradedVector()
-            for s in range(o.arity(ia)):
-                for t in range(o.arity(ib)):
-                    if fl == "cyclic":
-                        acc = acc + o.cyc_st(ia, va, s, ib, vb, t)
-                    else:
-                        acc = acc + o.circ_st(ia, va, s, ib, vb, t)
-            out = out + _bucketed(o, ridx, acc)
-    return out
+    glue = o.cyc_st if fl == "cyclic" else o.circ_st
+    return _summed(o, ((o.circ_st_index(ia, ib), glue(ia, va, s, ib, vb, t))
+                       for ia, va in a.items() for ib, vb in b.items()
+                       for s in range(o.arity(ia))
+                       for t in range(o.arity(ib))))
 
 
 def cyc_compose(a: GradedVector, i: int, j: int, b: GradedVector,
@@ -236,19 +241,12 @@ def dioperadic_product(a: SumElement, b: SumElement, o: StructureInstance) -> Su
     if kind_flavor(o.kind) != "bimodule":
         raise KindMismatch(o.kind)
     odd = kind_is_odd(o.kind)
-    out = SumElement()
-    for ia, va in a.items():
-        pieces = _homogeneous_pieces(va) if odd else [(0, va)]
-        for da, ha in pieces:
-            dress = -1 if (odd and da % 2) else 1
-            for ib, vb in b.items():
-                ridx = o.circ_st_index(ia, ib)
-                acc = GradedVector()
-                for i in range(ia[0]):
-                    for j in range(ib[1]):
-                        acc = acc + o.circ_st(ia, ha, i, ib, vb, j)
-                out = out + SumElement.single(ridx, acc.scale(dress))
-    return out
+    dressed = [(ia, ha.scale(-1) if da % 2 else ha) for ia, va in a.items()
+               for da, ha in (_homogeneous_pieces(va) if odd else [(0, va)])]
+    return _summed(o, ((o.circ_st_index(ia, ib),
+                        o.circ_st(ia, ha, i, ib, vb, j))
+                       for ia, ha in dressed for ib, vb in b.items()
+                       for i in range(ia[0]) for j in range(ib[1])))
 
 
 def dioperadic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
@@ -260,67 +258,26 @@ def dioperadic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> Su
 # Delta and the horizontal product
 
 
-def _bucketed(o: StructureInstance, default_idx, acc: GradedVector) -> SumElement:
-    """Place a result vector, splitting by basis component when the instance
-    carries per-basis component data (nc kinds)."""
-    buckets: dict = {}
-    for be, c in acc.terms.items():
-        idx = o.component_of_basis(be)
-        key = default_idx if idx is None else idx
-        buckets.setdefault(key, {})[be] = c
-    out = SumElement()
-    for idx, terms in buckets.items():
-        out = out + SumElement.single(idx, GradedVector(terms))
-    return out
-
-
 def delta(a: SumElement, o: StructureInstance) -> SumElement:
     """Sum of the self-gluings over unordered pairs (in/out pairs for
     wheeled kinds)."""
     if not kind_has_self(o.kind):
         raise KindMismatch(f"{o.kind} has no self-gluings")
-    fl = kind_flavor(o.kind)
-    out = SumElement()
-    for ia, va in a.items():
-        ridx = o.self_index(ia)
-        acc = GradedVector()
-        if fl == "bimodule":
-            for s in range(ia[0]):
-                for t in range(ia[1]):
-                    acc = acc + o.self_glue(ia, va, s, t)
-        else:
-            for s, t in itertools.combinations(range(ia[1]), 2):
-                acc = acc + o.self_glue(ia, va, s, t)
-        out = out + _bucketed(o, ridx, acc)
-    return out
-
-
-def delta_ordered(a: SumElement, o: StructureInstance) -> SumElement:
-    """The ordered-pair form: half of it recovers delta when 2 is invertible."""
-    fl = kind_flavor(o.kind)
-    if fl == "bimodule":
-        return delta(a, o)
-    out = SumElement()
-    for ia, va in a.items():
-        ridx = o.self_index(ia)
-        acc = GradedVector()
-        for s in range(ia[1]):
-            for t in range(ia[1]):
-                if s != t:
-                    acc = acc + o.self_glue(ia, va, *(min(s, t), max(s, t)))
-        out = out + _bucketed(o, ridx, acc)
-    return out
+    if kind_flavor(o.kind) == "bimodule":
+        def loops(ia):
+            return itertools.product(range(ia[0]), range(ia[1]))
+    else:
+        def loops(ia):
+            return itertools.combinations(range(ia[1]), 2)
+    return _summed(o, ((o.self_index(ia), o.self_glue(ia, va, s, t))
+                       for ia, va in a.items() for s, t in loops(ia)))
 
 
 def boxminus(a: SumElement, b: SumElement, o: StructureInstance) -> SumElement:
     if not kind_has_box(o.kind):
         raise KindMismatch(f"{o.kind} has no horizontal composition")
-    out = SumElement()
-    for ia, va in a.items():
-        for ib, vb in b.items():
-            out = out + _bucketed(o, o.box_index(ia, ib),
-                                  o.box(ia, va, ib, vb))
-    return out
+    return _summed(o, ((o.box_index(ia, ib), o.box(ia, va, ib, vb))
+                       for ia, va in a.items() for ib, vb in b.items()))
 
 
 def project_coinvariants(x: SumElement, o: StructureInstance) -> SumElement:

@@ -426,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify")
     v.add_argument("action", choices=("axioms",))
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--max-arity", type=int, default=3)
+    v.add_argument("--max-arity", type=_count, default=3)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bracket")
     b.add_argument("action", choices=("witt", "jacobi"))
     b.add_argument("--in", dest="infile")
-    b.add_argument("--max", type=int, default=4)
-    b.add_argument("--samples", type=int, default=5)
+    b.add_argument("--max", type=_count, default=4)
+    b.add_argument("--samples", type=_count, default=5)
     b.set_defaults(fn=cmd_bracket)
 
     f = sub.add_parser("free")

@@ -34,54 +34,50 @@ from .gradedlin import (BE, ONE, ZERO, GradedVector, GroupAction, Perm, Q,
 # --------------------------------------------------------------------------
 # kinds
 
-KINDS = (
-    "operad", "odd-operad",
-    "cyclic", "anti-cyclic", "odd-cyclic",
-    "dioperad", "odd-dioperad", "nc-dioperad",
-    "properad", "prop", "odd-prop",
-    "wheeled-prop", "odd-wheeled-prop",
-    "modular", "k-modular", "nc-modular", "nc-k-modular",
-    "nc-cyclic", "odd-nc-cyclic", "nc-operad",
-)
-
-_FLAVOR = {
-    "operad": "operadic", "odd-operad": "operadic", "nc-operad": "nc-operadic",
-    "cyclic": "cyclic", "anti-cyclic": "cyclic", "odd-cyclic": "cyclic",
-    "nc-cyclic": "nc-cyclic", "odd-nc-cyclic": "nc-cyclic",
-    "dioperad": "bimodule", "odd-dioperad": "bimodule",
-    "nc-dioperad": "bimodule", "properad": "bimodule", "prop": "bimodule",
-    "odd-prop": "bimodule", "wheeled-prop": "bimodule",
-    "odd-wheeled-prop": "bimodule",
-    "modular": "modular", "k-modular": "modular",
-    "nc-modular": "nc-modular", "nc-k-modular": "nc-modular",
+# kind -> (flavor, odd, has self-gluings, has horizontal composition), in
+# the order `forge` lists the kinds in its error message
+_KINDS = {
+    "operad": ("operadic", False, False, False),
+    "odd-operad": ("operadic", True, False, False),
+    "cyclic": ("cyclic", False, False, False),
+    "anti-cyclic": ("cyclic", False, False, False),
+    "odd-cyclic": ("cyclic", True, False, False),
+    "dioperad": ("bimodule", False, False, False),
+    "odd-dioperad": ("bimodule", True, False, False),
+    "nc-dioperad": ("bimodule", False, False, True),
+    "properad": ("bimodule", False, False, False),
+    "prop": ("bimodule", False, False, True),
+    "odd-prop": ("bimodule", True, False, True),
+    "wheeled-prop": ("bimodule", False, True, True),
+    "odd-wheeled-prop": ("bimodule", True, True, True),
+    "modular": ("modular", False, True, False),
+    "k-modular": ("modular", True, True, False),
+    "nc-modular": ("nc-modular", False, True, True),
+    "nc-k-modular": ("nc-modular", True, True, True),
+    "nc-cyclic": ("nc-cyclic", False, False, True),
+    "odd-nc-cyclic": ("nc-cyclic", True, False, True),
+    # listed odd, but nothing reads its parity: no bracket, Delta or axiom
+    # check takes the nc-operadic flavor
+    "nc-operad": ("nc-operadic", True, False, True),
 }
 
-_ODD = {"odd-operad", "odd-cyclic", "odd-dioperad", "odd-prop",
-        "odd-wheeled-prop", "k-modular", "nc-k-modular", "odd-nc-cyclic",
-        "nc-operad"}  # nc-operad parity is set per instance
-
-_HAS_SELF = {"wheeled-prop", "odd-wheeled-prop", "modular", "k-modular",
-             "nc-modular", "nc-k-modular"}
-
-_HAS_BOX = {"prop", "odd-prop", "nc-dioperad", "wheeled-prop",
-            "odd-wheeled-prop", "nc-modular", "nc-k-modular", "nc-cyclic",
-            "odd-nc-cyclic", "nc-operad"}
+KINDS = tuple(_KINDS)
 
 
 def kind_flavor(kind: str) -> str:
-    return _FLAVOR[kind]
+    return _KINDS[kind][0]
 
 
 def kind_is_odd(kind: str) -> bool:
-    return kind in _ODD
+    return _KINDS[kind][1]
 
 
 def kind_has_self(kind: str) -> bool:
-    return kind in _HAS_SELF
+    return _KINDS[kind][2]
 
 
 def kind_has_box(kind: str) -> bool:
-    return kind in _HAS_BOX
+    return _KINDS[kind][3]
 
 
 def tensor_kind(k1: str, k2: str) -> str:
@@ -230,11 +226,7 @@ class StructureInstance:
     # -- bilinear wrappers --------------------------------------------------
 
     def _bilinear(self, f, a: GradedVector, b: GradedVector) -> GradedVector:
-        out = GradedVector()
-        for x, cx in a.terms.items():
-            for y, cy in b.terms.items():
-                out = out + f(x, y).scale(cx * cy)
-        return out
+        return a.map_basis(lambda x: b.map_basis(lambda y: f(x, y)))
 
     def circ(self, ai, a, i, bi, b) -> GradedVector:
         return self._bilinear(lambda x, y: self.circ_basis(ai, x, i, bi, y), a, b)
@@ -919,46 +911,38 @@ class TensorInstance(StructureInstance):
         return [self._be(x, y) for x in self.o1.component(idx)
                 for y in self.o2.component(idx)]
 
+    def _tensor(self, v1: GradedVector, v2: GradedVector,
+                sign: int = 1) -> GradedVector:
+        return GradedVector({self._be(bx, by): sign * cx * cy
+                             for bx, cx in v1.terms.items()
+                             for by, cy in v2.terms.items()})
+
     def _build_action(self, idx) -> GroupAction:
         a1, a2 = self.o1.action(idx), self.o2.action(idx)
 
         def apply_basis(g, a: BE) -> GradedVector:
             x, y = self._split(a)
-            v1 = a1.apply_basis(g, x)
-            v2 = a2.apply_basis(g, y)
-            out = GradedVector()
-            for bx, cx in v1.terms.items():
-                for by, cy in v2.terms.items():
-                    out = out + GradedVector.unit(self._be(bx, by), cx * cy)
-            return out
+            return self._tensor(a1.apply_basis(g, x), a2.apply_basis(g, y))
 
         # walk only when both factors walk the same generators
         gens = a1.generators if a1.generators == a2.generators else ()
         return GroupAction(a1.elements, apply_basis, t=a1.t, generators=gens)
 
-    def _pairwise(self, f1, f2, ai, a, bi, b, ridx):
+    def _pairwise(self, f1, f2, a, b):
         x1, x2 = self._split(a)
         y1, y2 = self._split(b)
         sign = -1 if (x2.degree % 2 and y1.degree % 2) else 1
-        v1 = f1(x1, y1)
-        v2 = f2(x2, y2)
-        out = GradedVector()
-        for bx, cx in v1.terms.items():
-            for by, cy in v2.terms.items():
-                out = out + GradedVector.unit(self._be(bx, by), sign * cx * cy)
-        return out
+        return self._tensor(f1(x1, y1), f2(x2, y2), sign)
 
     def circ_basis(self, ai, a, i, bi, b):
         return self._pairwise(
             lambda x, y: self.o1.circ_basis(ai, x, i, bi, y),
-            lambda x, y: self.o2.circ_basis(ai, x, i, bi, y),
-            ai, a, bi, b, self.circ_index(ai, bi))
+            lambda x, y: self.o2.circ_basis(ai, x, i, bi, y), a, b)
 
     def circ_st_basis(self, ai, a, s, bi, b, t):
         return self._pairwise(
             lambda x, y: self.o1.circ_st_basis(ai, x, s, bi, y, t),
-            lambda x, y: self.o2.circ_st_basis(ai, x, s, bi, y, t),
-            ai, a, bi, b, self.circ_st_index(ai, bi))
+            lambda x, y: self.o2.circ_st_basis(ai, x, s, bi, y, t), a, b)
 
 
 def tensor_structures(o1: StructureInstance, o2: StructureInstance) -> StructureInstance:
@@ -1474,11 +1458,16 @@ class TableInstance(StructureInstance):
         self.source = source
         self._data = data
         self._basis = {}
+        self._by_ident = {}
         self._gen_matrices = {}
         for idxs, comp in data["components"].items():
             idx = self._parse_idx(idxs)
+            # the action matrices are keyed by ident, and JSON keys are strings
+            if not all(isinstance(r["id"], str) for r in comp["basis"]):
+                raise TypeError(f"component {idxs}: basis ids must be strings")
             self._basis[idx] = [BE(r["id"], r["degree"])
                                 for r in comp["basis"]]
+            self._by_ident[idx] = {b.ident: b for b in self._basis[idx]}
             self._gen_matrices[idx] = [g["matrix"] for g in comp["generators"]]
         self._tables = {}
         for rec in data["compositions"]:
@@ -1489,9 +1478,7 @@ class TableInstance(StructureInstance):
         super().__init__()
         if data.get("unit"):
             ui = self._parse_idx(data["unit"]["index"])
-            uv = GradedVector({self._find_be(ui, i): Q(c)
-                               for i, c in data["unit"]["vector"]})
-            self.unit = (ui, uv)
+            self.unit = (ui, self._rows(ui, data["unit"]["vector"]))
 
     @staticmethod
     def _parse_idx(s):
@@ -1499,11 +1486,14 @@ class TableInstance(StructureInstance):
         v = _json.loads(s)
         return tuple(v) if isinstance(v, list) else v
 
-    def _find_be(self, idx, ident_str) -> BE:
-        for b in self._basis[idx]:
-            if b.ident == ident_str:
-                return b
-        raise KeyError(ident_str)
+    def _rows(self, idx, rows) -> GradedVector:
+        """The vector of serialized [ident, coefficient] rows; KeyError on
+        an ident outside component idx."""
+        acc: dict = {}
+        for ident, c in rows:
+            be = self._by_ident[idx][ident]
+            acc[be] = acc.get(be, ZERO) + Q(c)
+        return GradedVector(acc)
 
     def _build_component(self, idx):
         if idx not in self._basis:
@@ -1516,21 +1506,14 @@ class TableInstance(StructureInstance):
         size = n + 1 if fl == "cyclic" else n
         gens = self._gen_matrices[idx]
 
-        def matrix_apply(matrix, be):
-            rows = matrix.get(_ident_to_str(be.ident) if not
-                                         isinstance(be.ident, str) else be.ident, [])
-            out = GradedVector()
-            for ident, c in rows:
-                out = out + GradedVector.unit(self._find_be(idx, ident), Q(c))
-            return out
-
         trans = {i: gens[i] for i in range(max(0, size - 1))}
 
         def apply_basis(p, be):
             word = _perm_word(p)
             v = GradedVector.unit(be)
             for i in word:
-                v = v.map_basis(lambda b: matrix_apply(trans[i], b))
+                v = v.map_basis(
+                    lambda b: self._rows(idx, trans[i].get(b.ident, [])))
             return v
 
         # the transpositions generate the whole group, the rotation included.
@@ -1541,9 +1524,4 @@ class TableInstance(StructureInstance):
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         key = ("circ", ai, a.ident, i, bi, b.ident)
-        rows = self._tables.get(key, [])
-        ridx = self.circ_index(ai, bi)
-        out = GradedVector()
-        for ident, c in rows:
-            out = out + GradedVector.unit(self._find_be(ridx, ident), Q(c))
-        return out
+        return self._rows(self.circ_index(ai, bi), self._tables.get(key, []))

@@ -1242,8 +1242,7 @@ def certify_dg_algebra(series: MasterSeries, carrier, d_fun, forms,
                          witness, mwitness)
 
 
-def solve_master_series(carrier, d_fun, window, seed_term=None, seed=0,
-                        seed_component=None):
+def solve_master_series(carrier, d_fun, window, seed=0, seed_component=None):
     """Search for a nonzero series solving the master equation by obstruction
     lifting: seed one component with a d-closed term, then solve d m = -rest
     exactly at each later component."""
@@ -1253,14 +1252,11 @@ def solve_master_series(carrier, d_fun, window, seed_term=None, seed=0,
     terms: dict = {}
     first = seed_component or order[0]
     order = [first] + [idx for idx in order if idx != first]
-    if seed_term is not None:
-        terms[first] = seed_term
-    else:
-        basis = invariant_degree_basis(carrier, first, 0)
-        kernel = [b for b in basis if d_fun(first, b).is_zero()]
-        if not kernel:
-            return None
-        terms[first] = kernel[rng.randrange(len(kernel))]
+    basis = invariant_degree_basis(carrier, first, 0)
+    kernel = [b for b in basis if d_fun(first, b).is_zero()]
+    if not kernel:
+        return None
+    terms[first] = kernel[rng.randrange(len(kernel))]
     for idx in order[1:]:
         partial = MasterSeries(dict(terms))
         lhs = master_lhs(partial, carrier, d_fun)

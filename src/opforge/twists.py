@@ -491,14 +491,12 @@ class IsoReport:
 
 
 def verify_isomorphism(a: TwistCocycle, b: TwistCocycle, family: str,
-                       max_edges: int, max_tails: int = 4,
-                       genus_values=(0, 1), signatures=None) -> IsoReport:
+                       max_edges: int, max_tails: int = 4) -> IsoReport:
     """Compare (degree, character) of two cocycles on every isomorphism
     class of the family, a name in `G.GRAPH_CLASSES`, within the bound;
     report the first mismatch."""
     checked = 0
-    for graph in _family_graphs(family, max_edges, max_tails, genus_values,
-                                signatures):
+    for graph in _family_graphs(family, max_edges, max_tails):
         la = a.line(graph)
         lb = b.line(graph)
         checked += 1
@@ -515,28 +513,26 @@ def verify_isomorphism(a: TwistCocycle, b: TwistCocycle, family: str,
     return IsoReport(True, checked, None)
 
 
-def _family_graphs(kind: str, max_edges, max_tails, genus_values,
-                   signatures):
-    if signatures is None:
-        signatures = []
-        directed = kind.startswith("directed") or "rooted" in kind
-        if directed:
-            for n_in in range(0, max_tails + 1):
-                for n_out in range(0 if "rooted" not in kind else 1,
-                                   max_tails - n_in + 1):
-                    if "rooted" in kind and n_out != 1:
-                        continue
-                    signatures.append({
-                        "in_labels": [str(i + 1) for i in range(n_in)],
-                        "out_labels": [f"o{j + 1}" for j in range(n_out)]})
-        elif kind == "stable-graph":
-            for n in range(0, max_tails + 1):
-                for g in genus_values:
-                    signatures.append({"labels": [str(i + 1) for i in range(n)],
-                                       "genus": g})
-        else:
-            for n in range(0, max_tails + 1):
-                signatures.append({"labels": [str(i + 1) for i in range(n)]})
+def _family_graphs(kind: str, max_edges, max_tails):
+    signatures = []
+    directed = kind.startswith("directed") or "rooted" in kind
+    if directed:
+        for n_in in range(0, max_tails + 1):
+            for n_out in range(0 if "rooted" not in kind else 1,
+                               max_tails - n_in + 1):
+                if "rooted" in kind and n_out != 1:
+                    continue
+                signatures.append({
+                    "in_labels": [str(i + 1) for i in range(n_in)],
+                    "out_labels": [f"o{j + 1}" for j in range(n_out)]})
+    elif kind == "stable-graph":
+        for n in range(0, max_tails + 1):
+            for g in (0, 1):
+                signatures.append({"labels": [str(i + 1) for i in range(n)],
+                                   "genus": g})
+    else:
+        for n in range(0, max_tails + 1):
+            signatures.append({"labels": [str(i + 1) for i in range(n)]})
     for sig in signatures:
         for graph in G.enumerate_graphs(kind, sig, max_edges):
             yield graph

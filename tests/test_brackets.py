@@ -5,7 +5,7 @@ import pytest
 
 from opforge.brackets import (SumElement, boxminus, bv_verify, cyc_compose,
                               cyclic_average, cyclic_bracket, delta,
-                              delta_ordered, deviation_bracket,
+                              deviation_bracket,
                               dioperadic_bracket, dioperadic_product,
                               internal_mult_differential, lie_bracket,
                               n_compat, n_operator, odd_bracket, prelie,
@@ -338,13 +338,6 @@ def test_delta_even_negative_control():
             witness = True
             break
     assert witness
-
-
-def test_delta_ordered_is_twice_unordered():
-    e = odd_modular_e()
-    for be in e.component((0, 4))[:6]:
-        x = single((0, 4), be)
-        assert delta_ordered(x, e) == delta(x, e).scale(2)
 
 
 def test_delta_commutes_with_projector():

@@ -118,6 +118,8 @@ INPUTS = {
     "table-no-degree.json": {**TABLE, "components": {"1": {
         "basis": [{"id": "a"}], "generators": []}}},
     "table-bad-kind.json": {**TABLE, "kind": "nosuch"},
+    "table-int-id.json": {**TABLE, "components": {"1": {
+        "basis": [{"id": 1, "degree": 0}], "generators": []}}},
     "table-no-matrix.json": {**TABLE, "components": {
         **TABLE["components"],
         "2": {"basis": [{"id": "b", "degree": 0}], "generators": [{}]}}},
@@ -201,7 +203,11 @@ def test_twist_verify_mismatch_exits_1():
     ("verify", "axioms", "--in", "table-no-kind.json"),
     ("verify", "axioms", "--in", "table-no-degree.json"),
     ("verify", "axioms", "--in", "table-bad-kind.json"),
+    ("verify", "axioms", "--in", "table-int-id.json", "--max-arity", "1"),
     ("verify", "axioms", "--in", "table-no-matrix.json", "--max-arity", "2"),
+    ("verify", "axioms", "--in", "end-operad.json", "--max-arity", "-1"),
+    ("bracket", "witt", "--max", "-1"),
+    ("bracket", "jacobi", "--in", "end-operad.json", "--samples", "-1"),
     ("bracket", "jacobi", "--in", "table-no-kind.json"),
     ("bracket", "jacobi", "--in", "table-no-degree.json"),
     ("bracket", "jacobi", "--in", "table-bad-kind.json"),

@@ -97,8 +97,8 @@ def test_contract_tree_confluence():
             h = contract_edge(h, h.edges()[_ if _ < len(h.edges()) else 0])
         results.add(canonical_form(h)[0].canonical_key())
     assert len(results) == 1
-    final = contract_edge(contract_edge(g, g.edges()[0]), None
-                          if False else contract_edge(g, g.edges()[0]).edges()[0])
+    once = contract_edge(g, g.edges()[0])
+    final = contract_edge(once, once.edges()[0])
     assert len(final.vertices) == 1
 
 
