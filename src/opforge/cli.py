@@ -46,12 +46,17 @@ def _required(value, flag: str):
     return value
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer that is not negative."""
+def _count(text: str, least: int = 0) -> int:
+    """An argparse type: an integer of at least `least` (0 by default)."""
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"{text} is less than {least}")
     return n
+
+
+def _positive(text: str) -> int:
+    """An argparse type: a count of at least 1, for a bound that checks."""
+    return _count(text, 1)
 
 
 def _load_json(path: str) -> dict:
@@ -426,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify")
     v.add_argument("action", choices=("axioms",))
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--max-arity", type=_count, default=3)
+    v.add_argument("--max-arity", type=_positive, default=3)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bracket")
     b.add_argument("action", choices=("witt", "jacobi"))
     b.add_argument("--in", dest="infile")
-    b.add_argument("--max", type=_count, default=4)
-    b.add_argument("--samples", type=_count, default=5)
+    b.add_argument("--max", type=_positive, default=4)
+    b.add_argument("--samples", type=_positive, default=5)
     b.set_defaults(fn=cmd_bracket)
 
     f = sub.add_parser("free")

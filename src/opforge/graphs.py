@@ -19,7 +19,11 @@ every flag order.
 
 `enumerate_graphs` grows graphs edge by edge: an edge insertion, the
 inverse of `contract_edge`, takes each graph with k edges to those with
-k + 1, and `canonical_key()` removes the duplicates.
+k + 1, and `canonical_key()` removes the duplicates.  Stable graphs take
+the stable (genus or gamma, valence) pairs as vertex types, so no
+insertion builds an unstable vertex, and in a class closed under
+contraction a candidate is searched only when no edge has a greater
+isomorphism-invariant key than its new one (the last-edge test).
 """
 
 from __future__ import annotations
@@ -484,15 +488,12 @@ def _vertex_invariant(g: Graph, v):
 def _refined_classes(g: Graph):
     """Order-invariant vertex partition, refined by neighbor multisets."""
     inv = {v: _vertex_invariant(g, v) for v in g.vertices}
+    around = {v: [g.boundary[g.involution[f]] for f in g.vertex_flags(v)
+                  if g.involution[f] != f] for v in g.vertices}
     for _ in range(len(g.vertices)):
-        nbr = {}
-        for v in g.vertices:
-            around = []
-            for f in g.vertex_flags(v):
-                p = g.involution[f]
-                if p != f:
-                    around.append(inv[g.boundary[p]])
-            nbr[v] = (inv[v], tuple(sorted(map(repr, around))))
+        text = {v: repr(k) for v, k in inv.items()}
+        nbr = {v: (inv[v], tuple(sorted(text[u] for u in around[v])))
+               for v in g.vertices}
         # nbr refines inv, so equally many classes means the same partition
         if len(set(nbr.values())) == len(set(inv.values())):
             break
@@ -733,8 +734,16 @@ class _Insertions:
     tracked genus or gamma by one; a directed edge gets both orientations.
     A graph stays in its level only while it can still reach the output:
     a class closed under contraction must hold it, and the summed vertex
-    needs (`_need_table`) must fit the edges left.  An output graph has
-    max(1, tails + 2 edges) vertices at most.
+    needs (`_need_table`) must fit the edges left.  Without given vertex
+    types, `stable-graph` with a genus and `nc-stable-graph` with a gamma
+    take the stable pairs (2l - 2 + n > 0): an insertion then keeps every
+    vertex stable and the graph connected, so only seeds are classified.
+    In a closed class a candidate whose new edge some edge's key exceeds
+    (`_last`) is dropped before its search.  No class is lost: for H of
+    the next level and x an edge of greatest key, H/x is in the class,
+    which is closed, and in this level, as need(merged) <= 1 + need(a) +
+    need(b); inserting x into it gives H.  The canonical keys decide ties.
+    An output graph has max(1, tails + 2 edges) vertices at most.
     """
 
     def __init__(self, cls, signature, max_edges, vertex_types):
@@ -754,6 +763,14 @@ class _Insertions:
                       else "genus" if genus is not None else None)
         self.target = {"gamma": gamma, "genus": genus}.get(self.field, 0)
         self.connected = cls in _CONNECTED or self.field == "genus"
+        # contracting an edge can close an oriented cycle, and a contracted
+        # loop keeps a vertex stable only by raising the label stability reads
+        self.closed = {"directed-no-wheels": False,
+                       "directed-connected-no-wheels": False,
+                       "stable-graph": self.field == "genus",
+                       "nc-stable-graph": self.field == "gamma"}.get(cls, True)
+        self.stable = (cls in ("stable-graph", "nc-stable-graph")
+                       and self.closed and vertex_types is None)
         self.need, self.first = self._need_table(vertex_types)
 
     def _need_table(self, types):
@@ -766,7 +783,8 @@ class _Insertions:
         kinds = [(l, n) for l in range(self.target + 1)
                  for n in range(len(self.tails) + 2 * over)]
         need = {(l, n): 0 for l, n in kinds
-                if ((l, n) in types if types is not None else n or self.field)}
+                if ((l, n) in types if types is not None
+                    else 2 * l - 2 + n > 0 if self.stable else n or self.field)}
         for r in range(1, over + 1):
             first = {}
             for l, n in kinds:
@@ -823,8 +841,8 @@ class _Insertions:
                     tail_labels)
 
     def _insertions(self, level, left: int):
-        """Every graph one insertion makes from a graph of `level` whose
-        need fits `left`."""
+        """(graph, new edge) for every graph one insertion makes from a
+        graph of `level` whose need fits `left`."""
         ends = (("out", "in"), ("in", "out")) if self.directed else (None,)
         for g in level:
             labels, vflags = self._local(g)
@@ -859,21 +877,35 @@ class _Insertions:
                             g.flags + (e + "a", e + "b"), involution,
                             boundary, {**labels, v: lv, u: lu},
                             end and {**g.orientation, e + "a": end[0],
-                                     e + "b": end[1]}, g.labels)
+                                     e + "b": end[1]}, g.labels), \
+                            (e + "a", e + "b")
+
+    def _last(self, h: Graph, new) -> bool:
+        """Whether no edge of h has a greater key than `new`.  An edge's key
+        is its ends' `_vertex_invariant`s: (out end, in end) in a directed
+        class, sorted otherwise."""
+        inv = {v: _vertex_invariant(h, v) for v in h.vertices}
+
+        def key(f, p):
+            a, b = inv[h.boundary[f]], inv[h.boundary[p]]
+            if self.directed:
+                return (a, b) if h.orientation[f] == "out" else (b, a)
+            return (a, b) if a <= b else (b, a)
+
+        top = key(*new)
+        return all(key(f, p) <= top for f, p in h.edges())
 
     def run(self) -> list[Graph]:
-        # contracting an edge can close an oriented cycle, and a contracted
-        # loop keeps a vertex stable only by raising the label stability reads
-        closed = {"directed-no-wheels": False,
-                  "directed-connected-no-wheels": False,
-                  "stable-graph": self.field == "genus",
-                  "nc-stable-graph": self.field == "gamma"}.get(self.cls, True)
-        candidates, seen = self._seeds(), {}
+        candidates, seen = ((h, None) for h in self._seeds()), {}
         for k in range(self.max_edges + 1):
             level = {}  # canonical key -> canonical form
-            for h in candidates:
-                if (not closed or classify(h, self.cls)) \
-                        and h.canonical_key() not in level:
+            for h, new in candidates:
+                # past the seeds, stable vertex types stand in for classify
+                if self.closed and (
+                        not (new and self.stable or classify(h, self.cls))
+                        or new and not self._last(h, new)):
+                    continue
+                if h.canonical_key() not in level:
                     level[h.canonical_key()] = canonical_form(h)[0]
             for key, g in level.items():
                 labels, vflags = self._local(g)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -771,6 +772,87 @@ def test_each_enumerated_class_is_searched_once(monkeypatch):
     blocks = free.blocks((1, 2))
     assert len(blocks) > 1
     assert not [g for g in searched if any(g is b.graph for b in blocks)]
+
+
+# -- the last-edge test -------------------------------------------------------
+
+def _every_candidate():
+    """The last-edge test switched off: every insertion candidate is kept."""
+    return mock.patch.object(G._Insertions, "_last",
+                             lambda self, h, new: True)
+
+
+def _same_with_every_candidate(cls, sig, max_edges, types=None):
+    fast = [g.to_json() for g in enumerate_graphs(cls, sig, max_edges, types)]
+    with _every_candidate():
+        full = [g.to_json()
+                for g in enumerate_graphs(cls, sig, max_edges, types)]
+    assert fast == full, (cls, sig, max_edges, types)
+
+
+@pytest.mark.parametrize("cls", [c for c in GRAPH_CLASSES
+                                 if "no-wheels" not in c])
+def test_last_edge_test_loses_no_class(cls):
+    # every signature the insertion enumerator is checked on, at one more
+    # edge, on which `run` uses the test; `graph` with a gamma is left out
+    # (two tails and gamma 0 alone take 40 s)
+    directed = cls.startswith("directed") or "rooted" in cls
+    checked = 0
+    for n in range(3 if directed else 4):
+        for sig in _oracle_signatures(cls, n):
+            if G._Insertions(cls, sig, 3, None).closed and not (
+                    cls == "graph" and "gamma" in sig):
+                _same_with_every_candidate(cls, sig, 3)
+                checked += 1
+    assert checked
+
+
+def test_last_edge_test_on_larger_stable_windows_and_free_blocks():
+    from opforge.transform import free_construct, trivial_modular_generator
+
+    for genus, n, max_edges in ((1, 4, 4), (0, 6, 3), (2, 1, 3)):
+        _same_with_every_candidate(
+            "stable-graph", {"labels": [str(i + 1) for i in range(n)],
+                             "genus": genus}, max_edges)
+    for gamma in (1, 2):
+        _same_with_every_candidate(
+            "nc-stable-graph", {"labels": ["1", "2"], "gamma": gamma}, 3)
+    free = free_construct(trivial_modular_generator([(0, 3), (1, 1)]),
+                          "modular", "K", 3)
+    for idx in ((0, 3), (0, 5), (1, 2), (2, 0)):
+        cls, sig, types = free._graph_class(idx)
+        assert cls == "connected-graph" and types
+        _same_with_every_candidate(cls, sig, free.max_edges, types)
+
+
+def test_last_edge_test_drops_candidates_before_their_search():
+    seen = []
+    last = G._Insertions._last
+
+    def counted(self, h, new):
+        seen.append(last(self, h, new))
+        return seen[-1]
+
+    with mock.patch.object(G._Insertions, "_last", counted):
+        found = enumerate_graphs("stable-graph",
+                                 {"labels": ["1", "2", "3", "4"], "genus": 1},
+                                 4)
+    assert len(found) == 163
+    assert seen.count(False) > len(found)
+
+
+def test_stable_windows_match_brute_force_at_three_edges():
+    for labels, genus in (([], 2), (["1", "2", "3"], 1)):
+        sig = {"labels": labels, "genus": genus}
+        fast = [g.to_json() for g in enumerate_graphs("stable-graph", sig, 3)]
+        assert fast == [g.to_json() for g in
+                        brute_enumerate_graphs("stable-graph", sig, 3)]
+        assert len(fast) == {2: 7, 1: 23}[genus]
+    # the labelled trees with 6 leaves and internal vertices of valence at
+    # least 3: 236, Schroeder's fourth problem
+    assert len(enumerate_graphs(
+        "stable-graph", {"labels": [str(i) for i in range(6)], "genus": 0},
+        3)) == 236
 
 
 # -- serialization ------------------------------------------------------------
