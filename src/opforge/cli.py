@@ -16,8 +16,8 @@ import sys
 
 from . import graphs as G
 from . import twists
-from .brackets import (SumElement, cyclic_bracket, lie_bracket,
-                       project_coinvariants)
+from .brackets import (SumElement, coinvariant_class, cyclic_bracket,
+                       lie_bracket)
 from .errors import ForgeError, InputError, TruncationExceeded
 from .gradedlin import BE, GradedVector, Q
 from .smodules import (KINDS, BilinearForm, CyclicEnd, EndOperad, EndProp,
@@ -268,7 +268,7 @@ def cmd_bracket(args) -> int:
                 .scale((-1) ** ((da * db) % 2))
             t3 = cyclic_bracket(c, cyclic_bracket(a, b, inst), inst) \
                 .scale((-1) ** ((dc * db) % 2))
-            defect = project_coinvariants(t1 + t2 + t3, inst)
+            defect = coinvariant_class(t1 + t2 + t3, inst)
             checked += 1
             if not defect.is_zero():
                 failures.append({"arities": ns})

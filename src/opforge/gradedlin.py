@@ -333,6 +333,11 @@ def average(action: GroupAction, v: GradedVector,
     char(g^-1) = char(g), so the sum is the same.  Actions without
     generators (graph automorphism groups, S_n x S_m bimodule actions,
     tables) loop over their elements.
+
+    The S_n walk remains where an averaged element is used again: the
+    inputs of `bv_verify`, `project_coinvariants` and the series that
+    `certify_dg_algebra` maps out of.  A free construction decides zero
+    and equality of coinvariant classes without it (`coinvariant_class`).
     """
     if action.generators:
         acc, den = _walk_sum(action, v, char)

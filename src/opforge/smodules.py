@@ -272,6 +272,11 @@ class StructureInstance:
     def average(self, idx, v) -> GradedVector:
         return average(self.action(idx), v)
 
+    def coinvariant_class(self, idx, v) -> GradedVector:
+        """A vector that is zero exactly when v's S_n-coinvariant class is,
+        and equal for two inputs exactly when their classes are."""
+        return self.average(idx, v)
+
 
 # --------------------------------------------------------------------------
 # tensor word contraction helper

@@ -5,7 +5,10 @@ components, tensors on the twist line (realized as an ordered edge word), and
 takes automorphism coinvariants via the averaging projector, a loop over
 Aut(Gamma).  Its S_n action relabels tails; `average` sums it along the
 Cayley graph of the adjacent transpositions, so projecting to S_n
-coinvariants glues only the generator images of each basis element.  The
+coinvariants glues only the generator images of each basis element.
+Deciding whether coinvariant classes vanish or agree needs no S_n at all:
+`coinvariant_class` drops the tail labels and projects each term into the
+block of its unlabelled graph, whose automorphisms may move tails.  The
 Feynman transform is the free odd construction on the dual generators with
 the edge-insertion differential, assembled as the transpose of the one-edge
 contraction operator.  Master-equation series are checked two independent
@@ -112,6 +115,7 @@ class FreeTwisted(StructureInstance):
         self.odd = kind_is_odd(kind)
         self._blocks: dict = {}
         self._by_key: dict = {}
+        self._class_blocks: dict = {}  # `coinvariant_class`'s, by key
         super().__init__()
 
     # -- component assembly -------------------------------------------------
@@ -144,10 +148,11 @@ class FreeTwisted(StructureInstance):
                      or all((label(v), len(graph.vertex_flags(v))) in types
                             for v in graph.vertices)))
 
-    def _block(self, idx, graph) -> _GraphBlock:
+    def _block(self, graph, table) -> _GraphBlock:
+        """The block of `graph`, kept in `table` by canonical key."""
         key = graph.canonical_key()
-        if key in self._by_key:
-            return self._by_key[key]
+        if key in table:
+            return table[key]
         basis, aut, _ = decorate(self.gen, graph, kind_flavor(self.kind))
         # the twist character is folded into the averages
         invs = invariant_basis(aut, basis, self._twist_char(graph))
@@ -157,11 +162,12 @@ class FreeTwisted(StructureInstance):
                    for j, (i, _) in enumerate(invs)]
         block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors,
                             Span(inv_vectors))
-        self._by_key[key] = block
+        table[key] = block
         return block
 
     def _build_component(self, idx):
-        blocks = [self._block(idx, graph) for graph in self._graphs_for(idx)]
+        blocks = [self._block(graph, self._by_key)
+                  for graph in self._graphs_for(idx)]
         self._blocks[idx] = blocks
         out = []
         for b in blocks:
@@ -211,20 +217,26 @@ class FreeTwisted(StructureInstance):
     # -- raw gluing ----------------------------------------------------------
 
     def _glue(self, ridx, glued, pieces, new_edge=None) -> GradedVector:
-        """The pipeline shared by every gluing and by the S_n action.
+        """The pipeline shared by every gluing and by the S_n action:
+        `_glue_raw`, then the projection into the invariant basis of the
+        result's block in component `ridx`."""
+        if len(glued.edges()) > self.max_edges:
+            raise TruncationExceeded("gluing leaves the edge bound")
+        canon, acc = self._glue_raw(glued, pieces, new_edge)
+        return self.project_blocks(ridx, [(self._result_block(ridx, canon),
+                                           acc)])
+
+    def _glue_raw(self, glued, pieces, new_edge=None):
+        """(canonical form of `glued`, raw decorations on it as a dict).
 
         `glued` was built from the graphs of the pieces, each given as
         (block, raw vector, vmap, fmap): vmap/fmap send the block graph's
         vertex/flag ids to those of `glued` (None: unchanged).  `new_edge`
         is the edge the gluing created, as two flags of `glued`.  The result
-        is canonicalized, every decoration is transported onto it and merged
-        with the edge-word and Koszul signs, and the sum is projected into
-        the invariant basis of its block in component `ridx`.
+        is canonicalized, and every decoration is transported onto it and
+        merged with the edge-word and Koszul signs.
         """
-        if len(glued.edges()) > self.max_edges:
-            raise TruncationExceeded("gluing leaves the edge bound")
         canon, relabel = G.canonical_form(glued)
-        rblock = self._result_block(ridx, canon)
         vnew, fnew = relabel["vertices"], relabel["flags"]
         flavor = kind_flavor(self.kind)
         word = [] if new_edge is None else [tuple(sorted(fnew[f]
@@ -259,7 +271,7 @@ class FreeTwisted(StructureInstance):
                     coeff = -coeff
                 earlier += dec.degree
             _merge_into(acc, canon, [part for _, _, part in combo], coeff)
-        return self.project_blocks(ridx, [(rblock, acc)])
+        return canon, acc
 
     def _result_block(self, ridx, canon) -> _GraphBlock:
         """The block of component `ridx` whose graph is `canon`, a canonical
@@ -274,7 +286,7 @@ class FreeTwisted(StructureInstance):
             if not self._in_component(ridx, canon):
                 raise TruncationExceeded("glued graph missing from the "
                                          "component")
-            block = self._block(ridx, canon)
+            block = self._block(canon, self._by_key)
         return block
 
     def _relabel_positions(self, graph, label_map):
@@ -354,6 +366,29 @@ class FreeTwisted(StructureInstance):
             return self._glue(idx, moved, [(block, raw, None, None)])
 
         return symmetric_action(self.arity(idx), apply_basis)
+
+    def coinvariant_class(self, idx, v: GradedVector) -> GradedVector:
+        """The S_n-coinvariant class of v, without walking S_n.
+
+        Each term's graph drops its tail labels and goes through
+        `_glue_raw`; the sum is projected into the blocks of the unlabelled
+        canonical graphs, whose automorphisms may move tails.  These blocks
+        stay out of `_by_key`, so their basis elements name no component.
+        """
+        raws: dict = {}
+        for be, c in v.terms.items():
+            block, raw = self.expand(idx, be)
+            g = block.graph
+            bare = G.Graph(g.vertices, g.flags, g.involution, g.boundary,
+                           genus=g.genus, gamma=g.gamma,
+                           orientation=g.orientation)
+            canon, acc = self._glue_raw(bare, [(block, raw.scale(c), None,
+                                                None)])
+            cblock = self._block(canon, self._class_blocks)
+            into = raws.setdefault(cblock.key, (cblock, {}))[1]
+            for dec, x in acc.items():
+                into[dec] = into.get(dec, Q(0)) + x
+        return self.project_blocks(idx, raws.values())
 
     # -- the universal property ---------------------------------------------
 
@@ -1221,12 +1256,12 @@ def certify_dg_algebra(series: MasterSeries, carrier, d_fun, forms,
     """Two independent verdicts that the theorem says must agree: the
     left-hand side vanishes, and the series is a dg map out of the Feynman
     transform (`morphism_defects`).  Both read the S_n-coinvariants: a
-    component of the left-hand side counts as vanishing when its average
-    does, though its raw terms (the witness counts) may not.  The morphism
-    is built from the averaged series, as f is S_n-equivariant only for
-    invariant terms."""
+    component of the left-hand side counts as vanishing when its
+    coinvariant class does, though its raw terms (the witness counts) may
+    not.  The morphism is built from the averaged series, as f is
+    S_n-equivariant only for invariant terms."""
     comps = master_lhs_components(series, carrier, d_fun, window)
-    lhs_zero = all(carrier.average(idx, v).is_zero()
+    lhs_zero = all(carrier.coinvariant_class(idx, v).is_zero()
                    for idx, v in comps.items())
     witness = None
     if not lhs_zero:

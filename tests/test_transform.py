@@ -9,7 +9,8 @@ from feynman_oracle import scan_d_edge_basis
 from master_oracle import MorphismChecker
 
 from opforge.brackets import (SumElement, _summed, boxminus, bv_verify,
-                              cyclic_bracket, delta, dioperadic_product,
+                              coinvariant_class, cyclic_bracket, delta,
+                              deviation_bracket, dioperadic_product,
                               lie_bracket, prelie, project_coinvariants)
 from opforge.errors import (NonInvertibleTwist, TruncationExceeded,
                             UnsupportedKind)
@@ -1094,3 +1095,122 @@ def test_exponential_identity_order_two(master_setup):
 def test_closed_window():
     w = closed_window([(1, 3)], 2)
     assert (0, 0) in w and (1, 7) in w
+
+
+# -- coinvariant classes -----------------------------------------------------------
+
+def _class_cases():
+    # at edge bound 3 the (1,4) class of a (1,1) generator and two (0,3)
+    # ones is reached with an odd reordering of the edges, so a class path
+    # without the edge-word sign fails here
+    cases = []
+    for twist in "K1":
+        for types in ([(0, 3)], [(0, 3), (1, 1)]):
+            def free(twist=twist, types=types):
+                return free_construct(trivial_modular_generator(types),
+                                      "modular", twist, 3)
+            idxs = [(0, 4), (0, 5), (1, 1), (1, 2), (1, 4), (2, 1)]
+            cases.append(pytest.param(free, idxs, id=f"free-{twist}-{types}"))
+            cases.append(pytest.param(lambda free=free: nc_extension(free()),
+                                      idxs + [(0, 6)],
+                                      id=f"nc-{twist}-{types}"))
+    cases.append(pytest.param(
+        lambda: FeynmanTransform(DgInstance(_e_dim2()),
+                                 [(0, 3), (0, 4), (1, 2)], 1).free,
+        [(0, 3), (0, 4), (1, 2)], id="feynman-dual"))
+    return cases
+
+
+@pytest.mark.parametrize("build,idxs", _class_cases())
+def test_coinvariant_class_matches_the_s_n_average(build, idxs):
+    # the class decides zero and equality exactly as the S_n average does,
+    # and does not see the S_n action
+    F, rng = build(), random.Random(19)
+    for idx in idxs:
+        basis, act = F.component(idx), F.action(idx)
+        if not basis:
+            continue
+
+        def rand_vector():
+            terms = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
+            return GradedVector({be: rng.choice([-2, -1, 1, 3])
+                                 for be in terms})
+
+        def rand_g():
+            return tuple(rng.sample(range(F.arity(idx)), F.arity(idx)))
+
+        vs = []
+        for _ in range(4):
+            v, u = rand_vector(), rand_vector()
+            g = rand_g()
+            # same class as v, and class zero
+            vs += [v, act.apply(g, v), v + u - act.apply(rand_g(), u),
+                   u - act.apply(g, u), v.scale(2)]
+        classes = [F.coinvariant_class(idx, v) for v in vs]
+        avgs = [F.average(idx, v) for v in vs]
+        for c, a in zip(classes, avgs):
+            assert c.is_zero() == a.is_zero()
+        for (ci, ai), (cj, aj) in itertools.combinations(zip(classes, avgs),
+                                                          2):
+            assert (ci == cj) == (ai == aj)
+        for v, c in zip(vs, classes):
+            assert F.coinvariant_class(idx, act.apply(rand_g(), v)) == c
+
+
+def test_bv_verify_walks_no_s_n_on_seven_tails():
+    # the coinvariants benchmark's input: its defects land in (0,7) and
+    # (1,7), which the class path decides with one gluing per term
+    nc = nc_extension(free_construct(trivial_modular_generator([(0, 3)]),
+                                     "modular", "K", 2))
+    acted, terms, glued = [], [], []
+    action, cls, glue_raw = nc.action, nc.coinvariant_class, nc._glue_raw
+    deciding = []
+
+    def counted_action(idx):
+        acted.append(idx)
+        return action(idx)
+
+    def counted_class(idx, v):
+        terms.append(len(v.terms))
+        deciding.append(True)
+        try:
+            return cls(idx, v)
+        finally:
+            deciding.pop()
+
+    def counted_glue(*args):
+        if deciding:
+            glued.append(args)
+        return glue_raw(*args)
+
+    nc.action, nc.coinvariant_class = counted_action, counted_class
+    nc._glue_raw = counted_glue
+    rep = bv_verify(nc, [single((0, 3), nc.component((0, 3))[0])])
+    assert rep.ok
+    assert acted and all(nc.arity(idx) < 7 for idx in acted)
+    assert {(0, 7), (1, 7)} <= set(nc._built_components) | {
+        nc._index_of_graph(b.graph) for b in nc._by_key.values()}
+    assert 0 < len(glued) <= sum(terms)
+
+
+def test_deviation_verdicts_on_odd_inputs_agree_with_the_average():
+    # one basis element each of (0,3), (0,4) and (1,1), of degrees 0, -1
+    # and -1: where the first input is odd and the bracket is not zero, the
+    # deviation bracket is minus the rotation-summed bracket, by both paths
+    nc = nc_extension(free_construct(trivial_modular_generator([(0, 3)]),
+                                     "modular", "K", 4))
+    rng = random.Random(0)
+    reps = [project_coinvariants(single(idx, rng.choice(nc.component(idx))),
+                                 nc) for idx in [(0, 3), (0, 4), (1, 1)]]
+    verdicts, negated = {}, set()
+    for (i, a), (j, b) in itertools.product(enumerate(reps), repeat=2):
+        dev, br = deviation_bracket(a, b, nc), cyclic_bracket(a, b, nc)
+        by_class = coinvariant_class(dev, nc) == coinvariant_class(br, nc)
+        by_average = (project_coinvariants(dev, nc)
+                      == project_coinvariants(br, nc))
+        assert by_class == by_average, (i, j)
+        verdicts[i, j] = by_class
+        if not by_class and coinvariant_class(dev + br, nc).is_zero():
+            negated.add((i, j))
+    assert {p for p, ok in verdicts.items() if not ok} == \
+        negated == {(1, 2), (2, 0), (2, 1)}
