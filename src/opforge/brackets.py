@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KindMismatch, NotAssociativeMultiplication
-from .gradedlin import ZERO, GradedVector, Q, cyclic_operator_N
+from .gradedlin import ZERO, GradedVector, Q
 from .smodules import (StructureInstance, kind_flavor, kind_has_box,
                        kind_has_self, kind_is_odd)
 
@@ -155,18 +155,6 @@ def cyclic_bracket(a: SumElement, b: SumElement, o: StructureInstance) -> SumEle
                        for t in range(o.arity(ib))))
 
 
-def cyc_compose(a: GradedVector, i: int, j: int, b: GradedVector,
-                o: StructureInstance, n: int, m: int) -> GradedVector:
-    """The rotation-aligned composition gluing flag i of a to flag j of b.
-
-    With the transferred rotation convention this is T^{i-1} a o_1 T^{j} b;
-    as a cyclic class the (i, 0) case recovers a o_i b.
-    """
-    if kind_flavor(o.kind) != "cyclic":
-        raise KindMismatch(o.kind)
-    return o.rotated_circ(n, a, i, m, b, j)
-
-
 @dataclass
 class NCompatReport:
     ok: bool
@@ -177,10 +165,13 @@ class NCompatReport:
 
 
 def n_operator(o: StructureInstance, idx, v: GradedVector) -> GradedVector:
-    """N = 1 + T + ... + T^n on a cyclic component."""
-    if kind_flavor(o.kind) != "cyclic":
-        raise KindMismatch(o.kind)
-    return cyclic_operator_N(o.action(idx), v, idx)
+    """N = 1 + T + ... + T^n on cyclic component n, T the rotation of
+    `t_rot`; other flavors raise KindMismatch there."""
+    total = cur = o.t_rot(idx, v, 0)
+    for _ in range(o.arity(idx) - 1):
+        cur = o.t_rot(idx, cur)
+        total = total + cur
+    return total
 
 
 def cyclic_average(o: StructureInstance, idx, v: GradedVector) -> GradedVector:
@@ -198,7 +189,7 @@ def n_compat(a: GradedVector, b: GradedVector, o: StructureInstance,
     c = GradedVector()
     for i in range(n + 1):
         for j in range(m + 1):
-            c = c + cyc_compose(a, i, j, b, o, n, m)
+            c = c + o.rotated_circ(n, a, i, m, b, j)
     ridx = o.circ_index(n, m)
     rhs = SumElement.single(ridx, n_operator(o, ridx, c))
     identity = (lhs == rhs)

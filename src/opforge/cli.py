@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--twist", default="K")
     fe.add_argument("--max-edges", type=_count, default=2)
     fe.add_argument("--check", choices=("d2",), default="d2")
-    fe.add_argument("--samples", type=_count, default=25)
+    fe.add_argument("--samples", type=_positive, default=25)
     fe.add_argument("--window", type=json.loads, default=None)
     fe.set_defaults(fn=cmd_feynman)
 

@@ -160,10 +160,6 @@ class GradedVector:
     def unit(cls, be: BE, coeff: Fraction | int = 1) -> "GradedVector":
         return cls({be: Q(coeff)})
 
-    @classmethod
-    def zero(cls) -> "GradedVector":
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -239,8 +235,8 @@ class GroupAction:
 
     Group elements are opaque hashables; `apply_basis(g, e)` must return the
     image of basis element e as a GradedVector and preserve degree.  Images
-    are cached per (g, e).  For cyclic flavors the distinguished long-cycle
-    generator is stored in `t`.
+    are cached per (g, e).  The rotation of a cyclic component is not
+    stored: `StructureInstance.t_rot` derives it from the arity.
 
     `generators`, when given, are involutive permutations of range(n) that
     generate the group of `elements`, `apply_basis` is a homomorphism or an
@@ -251,10 +247,9 @@ class GroupAction:
     """
 
     def __init__(self, elements: Sequence, apply_basis: Callable[[Hashable, BE], GradedVector],
-                 t: Hashable | None = None, generators: Sequence[Perm] = ()):
+                 generators: Sequence[Perm] = ()):
         self.elements = list(elements)
         self._apply_basis = apply_basis
-        self.t = t
         self.generators = tuple(generators)
         self._cache: dict = {}
 
@@ -275,8 +270,8 @@ class GroupAction:
         return len(self.elements)
 
 
-def symmetric_action(n: int, apply_basis: Callable[[Perm, BE], GradedVector],
-                     t: Perm | None = None) -> GroupAction:
+def symmetric_action(n: int, apply_basis: Callable[[Perm, BE], GradedVector]
+                     ) -> GroupAction:
     """S_n acting through `apply_basis`, generated by the adjacent
     transpositions s_0, ..., s_{n-2}.
 
@@ -286,7 +281,7 @@ def symmetric_action(n: int, apply_basis: Callable[[Perm, BE], GradedVector],
     generators to basis elements.  A single element still acts through
     `apply_basis` directly.
     """
-    return GroupAction(all_perms(n), apply_basis, t=t,
+    return GroupAction(all_perms(n), apply_basis,
                        generators=adjacent_transpositions(n))
 
 
@@ -422,18 +417,6 @@ def invariant_basis(action: GroupAction, basis: Sequence[BE],
             for i, be in enumerate(basis)]
     avgs = [(i, avg) for i, avg in avgs if not avg.is_zero()]
     return [avgs[k] for k in independent_rows([avg.terms for _, avg in avgs])]
-
-
-def cyclic_operator_N(action: GroupAction, v: GradedVector, n: int) -> GradedVector:
-    """(1 + T + ... + T^n) v for the distinguished generator T."""
-    if action.t is None:
-        raise ValueError("action has no distinguished cyclic generator")
-    total = GradedVector()
-    cur = v
-    for _ in range(n + 1):
-        total = total + cur
-        cur = action.apply(action.t, cur)
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -527,41 +527,37 @@ def _search(g: Graph):
     Tries every vertex order that respects the refined classes and, for
     each, the flag orders that permute only inside the `_flag_groups`
     runs.  An ordering's code is (vertex record, flag record, edge record).
-    The first two, the head, depend only on the vertex order, so the head
-    is built once per vertex order and a vertex order whose head exceeds
-    the best one is skipped whole.  (The refined classes already fix every
-    vertex's genus, gamma and flag types, so today all vertex orders of a
-    graph share one head; comparing it keeps the search exact if the
-    refinement changes.)  The flag orders of one vertex order are built
-    depth-first (`_least_flag_orders`), which cuts a prefix only when
-    every completion has an edge record greater than the best so far.
+    The first two, the head, are the same for every such ordering:
+    `_refined_classes` gives each vertex of a class the same genus, gamma,
+    valence and multisets of tail (orientation, label) and flag
+    orientations, and a run holds flags of one vertex, orientation and
+    label.  So only the edge records are compared, and the head is built
+    once, from the best ordering.  The flag orders of one vertex order are
+    built depth-first (`_least_flag_orders`), which cuts a prefix only
+    when every completion has an edge record greater than the best so far.
     Returns (vorder, forder, code, ties, classes): the first ordering with
     the least code, every ordering whose code equals it, that one
     included, in the order of `itertools.product` over the classes' and
     runs' permutations, and the refined classes.
     """
-    best_head = best_erec = None
+    best_erec = None
     ties = []
     classes = _refined_classes(g)
     for vchoice in itertools.product(*map(itertools.permutations, classes)):
         vorder = [v for cls in vchoice for v in cls]
-        vpos = {v: i for i, v in enumerate(vorder)}
-        runs = _flag_groups(g, vorder)
-        head = (tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
-                      for v in vorder),
-                tuple((vpos[g.boundary[f]],
-                       {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
-                       g.labels.get(f, "")) for run in runs for f in run))
-        if best_head is not None and head > best_head:
-            continue
-        if best_head is None or head < best_head:
-            best_head, best_erec, ties = head, None, []
-        erec, forders = _least_flag_orders(runs, g.involution, best_erec)
+        erec, forders = _least_flag_orders(_flag_groups(g, vorder),
+                                           g.involution, best_erec)
         if erec != best_erec:
             best_erec, ties = erec, []
         ties.extend((vorder, forder) for forder in forders)
     vorder, forder = ties[0]
-    return vorder, forder, best_head + (best_erec,), ties, classes
+    vpos = {v: i for i, v in enumerate(vorder)}
+    head = (tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
+                  for v in vorder),
+            tuple((vpos[g.boundary[f]],
+                   {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
+                   g.labels.get(f, "")) for f in forder))
+    return vorder, forder, head + (best_erec,), ties, classes
 
 
 def _least_flag_orders(runs, partner, bound):
@@ -738,12 +734,14 @@ class _Insertions:
     types, `stable-graph` with a genus and `nc-stable-graph` with a gamma
     take the stable pairs (2l - 2 + n > 0): an insertion then keeps every
     vertex stable and the graph connected, so only seeds are classified.
-    In a closed class a candidate whose new edge some edge's key exceeds
-    (`_last`) is dropped before its search.  No class is lost: for H of
-    the next level and x an edge of greatest key, H/x is in the class,
-    which is closed, and in this level, as need(merged) <= 1 + need(a) +
-    need(b); inserting x into it gives H.  The canonical keys decide ties.
-    An output graph has max(1, tails + 2 edges) vertices at most.
+    A candidate whose new edge some edge's key exceeds (`_last`) is
+    dropped before its search, in every class.  No class is lost: for H
+    of the next level and x an edge of greatest key, H/x is in this level.
+    A level of a closed class holds every graph of the class whose needs
+    fit, and H/x is in the class; a level of any other class is not
+    filtered by the class at all.  Either way need(merged) <= 1 + need(a)
+    + need(b), and inserting x into H/x gives H.  The canonical keys decide
+    ties.  An output graph has max(1, tails + 2 edges) vertices at most.
     """
 
     def __init__(self, cls, signature, max_edges, vertex_types):
@@ -901,8 +899,8 @@ class _Insertions:
             level = {}  # canonical key -> canonical form
             for h, new in candidates:
                 # past the seeds, stable vertex types stand in for classify
-                if self.closed and (
-                        not (new and self.stable or classify(h, self.cls))
+                if (self.closed and not (new and self.stable
+                                         or classify(h, self.cls))
                         or new and not self._last(h, new)):
                     continue
                 if h.canonical_key() not in level:

@@ -220,9 +220,6 @@ class StructureInstance:
     def box_basis(self, ai, a: BE, bi, b: BE) -> GradedVector:
         raise KindMismatch(f"{self.kind} has no horizontal composition")
 
-    def act_basis(self, idx, g, a: BE) -> GradedVector:
-        return self.action(idx).apply_basis(g, a)
-
     # -- bilinear wrappers --------------------------------------------------
 
     def _bilinear(self, f, a: GradedVector, b: GradedVector) -> GradedVector:
@@ -241,18 +238,22 @@ class StructureInstance:
         return self._bilinear(lambda x, y: self.box_basis(ai, x, bi, y), a, b)
 
     def act(self, idx, g, v) -> GradedVector:
-        return v.map_basis(lambda x: self.act_basis(idx, g, x))
+        return self.action(idx).apply(g, v)
 
     def t_rot(self, idx, v, k: int = 1) -> GradedVector:
-        """Apply the distinguished long-cycle generator k times (cyclic flavor)."""
-        act = self.action(idx)
-        if act.t is None:
-            raise KindMismatch("no cyclic generator on this component")
+        """Apply the rotation T k times (cyclic flavor).
+
+        T is the inverse long cycle on the n + 1 flags of component n, the
+        transferred rotation that moves the functional at slot j to slot
+        j - 1; it is derived here, not stored on the action.
+        """
+        if kind_flavor(self.kind) != "cyclic":
+            raise KindMismatch(f"{self.kind} has no cyclic rotation")
         n = self.arity(idx)
-        k %= n
+        act, t = self.action(idx), invert(long_cycle(n))
         out = v
-        for _ in range(k):
-            out = out.map_basis(lambda x: act.apply_basis(act.t, x))
+        for _ in range(k % n):
+            out = act.apply(t, out)
         return out
 
     # derived set-indexed gluing for cyclic flavors: glue flag s of a to
@@ -461,9 +462,7 @@ class CyclicEnd(EndOperad):
                         self._be(o2, new_ins), cb * sign * ci)
             return out
 
-        # the transferred rotation moves the functional at slot j to slot j-1
-        return symmetric_action(n + 1, apply_basis,
-                                t=invert(long_cycle(n + 1)))
+        return symmetric_action(n + 1, apply_basis)
 
 
 # --------------------------------------------------------------------------
@@ -720,7 +719,7 @@ class Transported(StructureInstance):
             inner = bact.apply_basis(g, self._unwrap(idx, a))
             return self._wrap_vec(idx, inner).scale(self._mchar(idx, g))
 
-        return GroupAction(bact.elements, apply_basis, t=bact.t,
+        return GroupAction(bact.elements, apply_basis,
                            generators=bact.generators)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
@@ -931,7 +930,7 @@ class TensorInstance(StructureInstance):
 
         # walk only when both factors walk the same generators
         gens = a1.generators if a1.generators == a2.generators else ()
-        return GroupAction(a1.elements, apply_basis, t=a1.t, generators=gens)
+        return GroupAction(a1.elements, apply_basis, generators=gens)
 
     def _pairwise(self, f1, f2, a, b):
         x1, x2 = self._split(a)
@@ -977,8 +976,7 @@ class TrivialCyclic(StructureInstance):
         def apply_basis(g, a):
             return GradedVector.unit(a)
 
-        return symmetric_action(n + 1, apply_basis,
-                                t=invert(long_cycle(n + 1)))
+        return symmetric_action(n + 1, apply_basis)
 
     def circ_basis(self, ai, a, i, bi, b):
         if self.circ_index(ai, bi) > self.max_arity:
@@ -1018,6 +1016,26 @@ def transport(inst: StructureInstance, factors: Sequence[BE], moves) -> list:
                 new_terms.append((c * c2, nf))
         terms = new_terms
     return terms
+
+
+def merge_into(acc: dict, canon, parts, scale) -> None:
+    """Interleave transported parts into canonical vertex order.
+
+    Each part is (vertex names, [(coeff, factors)]); the concatenated
+    factor list moves to the canonical vertex order with a Koszul sign, and
+    each product of terms is added to acc as a raw decoration, times scale.
+    """
+    pos = {v: i for i, v in enumerate(canon.vertices)}
+    perm = tuple(pos[v] for names, _ in parts for v in names)
+    for combo in itertools.product(*[terms for _, terms in parts]):
+        coeff = scale
+        seq = []
+        for c, fs in combo:
+            coeff *= c
+            seq.extend(fs)
+        sign, moved = permute_factors(perm, tuple(seq))
+        be = decoration(moved)
+        acc[be] = acc.get(be, ZERO) + coeff * sign
 
 
 def _arrival(order: Sequence, arriving: Sequence) -> Perm | None:
@@ -1098,8 +1116,10 @@ def decorate(src: StructureInstance, graph, flavor: str):
     `flavor` is that of the construction the graph belongs to, which need
     not be the flavor of `src`'s kind: it picks the component at each vertex
     (`local_index`), so a vertex of an nc graph is decorated by the
-    component of its gamma label.  An automorphism moves each factor to the
-    image vertex with the Koszul sign and acts on it by `local_move`.
+    component of its gamma label.  An automorphism acts on each factor by
+    `local_move` and moves it to the image vertex with the Koszul sign
+    (`merge_into`); the action keeps degrees, so the order does not change
+    the sign.
 
     Returns (basis, action, vertex_order) where basis elements are tuples of
     per-vertex basis elements in the fixed vertex order.
@@ -1108,22 +1128,15 @@ def decorate(src: StructureInstance, graph, flavor: str):
     vorder = list(graph.vertices)
     per_vertex = [src.component(local_index(flavor, graph, v)) for v in vorder]
     basis = [decoration(c) for c in itertools.product(*per_vertex)]
-    vpos = {v: i for i, v in enumerate(vorder)}
     orders = [local_flag_order(flavor, graph, v) for v in vorder]
 
     def apply_basis(phi, a):
         vmap, fmap = phi
-        sign, moved = permute_factors(tuple(vpos[vmap[v]] for v in vorder),
-                                      decoration_factors(a))
-        moves = [None] * len(vorder)
-        for v, order in zip(vorder, orders):
-            w = vmap[v]
-            moves[vpos[w]] = local_move(flavor, graph, w,
-                                        [fmap[f] for f in order])
+        moves = [local_move(flavor, graph, vmap[v], [fmap[f] for f in order])
+                 for v, order in zip(vorder, orders)]
+        terms = transport(src, decoration_factors(a), moves)
         acc: dict = {}
-        for c, fs in transport(src, moved, moves):
-            be = decoration(fs)
-            acc[be] = acc.get(be, ZERO) + sign * c
+        merge_into(acc, graph, [([vmap[v] for v in vorder], terms)], ONE)
         return GradedVector(acc)
 
     return basis, GroupAction(G.automorphisms(graph), apply_basis), vorder
@@ -1340,30 +1353,6 @@ def _renumber_pair(n, s, t, u, v):
 
 
 # --------------------------------------------------------------------------
-# endomorphism factory
-
-
-def end_operad(space: Sequence[BE], flavor: str, form: BilinearForm | None = None,
-               **bounds) -> StructureInstance:
-    """The canonical endomorphism instances, one per flavor."""
-    if flavor == "operadic":
-        return EndOperad(space, **bounds)
-    if flavor == "cyclic":
-        if form is None:
-            raise DegenerateForm("cyclic flavor needs a nondegenerate form")
-        return CyclicEnd(space, form, **bounds)
-    if flavor == "modular":
-        if form is None:
-            raise DegenerateForm("modular flavor needs a nondegenerate form")
-        return ModularE(space, form, **bounds)
-    if flavor in ("bimodule", "prop"):
-        return EndProp(space, **bounds)
-    if flavor == "wheeled":
-        return EndProp(space, wheeled=True, **bounds)
-    raise FlavorMismatch(flavor)
-
-
-# --------------------------------------------------------------------------
 # serialization
 
 
@@ -1387,7 +1376,6 @@ def _perm_word(p: Perm) -> list:
             if arr[j - 1] > arr[j]:
                 arr[j - 1], arr[j] = arr[j], arr[j - 1]
                 word.append(j - 1)
-    word.reverse()
     return word
 
 
@@ -1421,7 +1409,7 @@ def dump_instance(o: StructureInstance, indices) -> dict:
                     continue
                 for a in o.component(ia):
                     for b in o.component(ib):
-                        for i in range(1, o.arity(ia) + 1):
+                        for i in range(1, ia + 1):
                             res = o.circ_basis(ia, a, i, ib, b)
                             if res.is_zero():
                                 continue
@@ -1447,8 +1435,8 @@ def _action_generators(o, idx):
     fl = kind_flavor(o.kind)
     n = o.arity(idx)
     if fl == "cyclic":
-        # the group acts on the n inputs and the output
-        return adjacent_transpositions(n + 1) + [invert(long_cycle(n + 1))]
+        # the group acts on the n flags: the inputs and the output
+        return adjacent_transpositions(n) + [invert(long_cycle(n))]
     if fl == "operadic":
         return adjacent_transpositions(n) or [tuple(range(n))]
     raise UnsupportedKind(o.kind)
@@ -1506,12 +1494,10 @@ class TableInstance(StructureInstance):
         return self._basis[idx]
 
     def _build_action(self, idx):
-        fl = kind_flavor(self.kind)
         n = self.arity(idx)
-        size = n + 1 if fl == "cyclic" else n
         gens = self._gen_matrices[idx]
 
-        trans = {i: gens[i] for i in range(max(0, size - 1))}
+        trans = {i: gens[i] for i in range(max(0, n - 1))}
 
         def apply_basis(p, be):
             word = _perm_word(p)
@@ -1524,8 +1510,7 @@ class TableInstance(StructureInstance):
         # the transpositions generate the whole group, the rotation included.
         # No walk: matrices read from a file need not satisfy the Coxeter
         # relations, and a walk could then sum other words than this loop
-        t = invert(long_cycle(size)) if fl == "cyclic" else None
-        return GroupAction(all_perms(size), apply_basis, t=t)
+        return GroupAction(all_perms(n), apply_basis)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         key = ("circ", ai, a.ident, i, bi, b.ident)

@@ -30,12 +30,12 @@ from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
 from .gradedlin import (BE, GradedVector, GroupAction, Q, Span, all_perms,
                         average, coords_in_span, invariant_basis, invert,
-                        koszul_sign, permute_factors, symmetric_action,
+                        koszul_sign, symmetric_action,
                         wedge_reorder_sign)
 from .smodules import (BilinearForm, ModularE, StructureInstance, decorate,
                        decoration, decoration_factors, kind_flavor,
                        kind_has_box, kind_is_odd, local_flag_order,
-                       local_index, local_move, rotation_order,
+                       local_index, local_move, merge_into, rotation_order,
                        rotation_order2, row_move, transport)
 from .twists import EdgeDeterminant
 
@@ -270,7 +270,7 @@ class FreeTwisted(StructureInstance):
                 if self.odd and ne % 2 and earlier % 2:
                     coeff = -coeff
                 earlier += dec.degree
-            _merge_into(acc, canon, [part for _, _, part in combo], coeff)
+            merge_into(acc, canon, [part for _, _, part in combo], coeff)
         return canon, acc
 
     def _result_block(self, ridx, canon) -> _GraphBlock:
@@ -441,26 +441,6 @@ class FreeTwisted(StructureInstance):
 
 def _flag_labelled(graph, label):
     return next(f for f, l in graph.labels.items() if l == label)
-
-
-def _merge_into(acc: dict, canon, parts, scale) -> None:
-    """Interleave transported parts into canonical vertex order.
-
-    Each part is (vertex names, [(coeff, factors)]); the concatenated
-    factor list moves to the canonical vertex order with a Koszul sign, and
-    each product of terms is added to acc as a raw decoration, times scale.
-    """
-    pos = {v: i for i, v in enumerate(canon.vertices)}
-    perm = tuple(pos[v] for names, _ in parts for v in names)
-    for combo in itertools.product(*[terms for _, terms in parts]):
-        coeff = scale
-        seq = []
-        for c, fs in combo:
-            coeff *= c
-            seq.extend(fs)
-        sign, moved = permute_factors(perm, tuple(seq))
-        be = decoration(moved)
-        acc[be] = acc.get(be, Q(0)) + coeff * sign
 
 
 def free_construct(gen: StructureInstance, kind: str, twist: str,
@@ -694,9 +674,7 @@ class FreeOperad(FreeTwisted):
     """
 
     def __init__(self, gen: StructureInstance, max_edges: int):
-        super().__init__(gen, "modular", max_edges, edge_degree=0)
-        self.kind = "operad"
-        self.odd = False
+        super().__init__(gen, "operad", max_edges, edge_degree=0)
 
     def _graph_class(self, n):
         # a rooted-tree vertex of in-arity a has valence a + 1
@@ -802,7 +780,7 @@ def _dual_action(o, idx, basis):
                                                      -b.degree), c)
         return out
 
-    return GroupAction(act.elements, apply_basis, t=act.t)
+    return GroupAction(act.elements, apply_basis)
 
 
 def _group_inverse(o, idx, g):
@@ -877,7 +855,7 @@ def _contract_dec(o, ghat, dec, e, canon, relabel) -> GradedVector:
     acc: dict = {}
     for gbe, gc in glued.terms.items():
         terms = transport(o, [gbe] + rest, moves)
-        _merge_into(acc, canon, [(names, terms)], sign0 * gc)
+        merge_into(acc, canon, [(names, terms)], sign0 * gc)
     return GradedVector(acc)
 
 
@@ -1492,22 +1470,21 @@ def prop_generated_by_operad(base: StructureInstance, max_in=4,
 
 
 class NcOperad(_RowWords):
-    """Free nc-extension of an operad: words of up to max_factors rows, with
+    """Free nc-extension of an operad: words of up to FACTORS rows, with
     box = concatenation and insertion summed over the factor roots."""
 
     kind = "nc-operad"
     row_tag = "nco"
+    FACTORS = 3
 
-    def __init__(self, base: StructureInstance, max_in: int = 5,
-                 max_factors: int = 3):
+    def __init__(self, base: StructureInstance, max_in: int = 5):
         self.max_in = max_in
-        self.max_factors = max_factors
         super().__init__(base)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         rows_a = self._split(a)
         rows_b = self._split(b)
-        if len(rows_a) + len(rows_b) > self.max_factors:
+        if len(rows_a) + len(rows_b) > self.FACTORS:
             raise TruncationExceeded("too many factors")
         shifted = [(x, tuple(l + ai for l in ls)) for x, ls in rows_b]
         return GradedVector.unit(self._be(rows_a + shifted))
@@ -1526,7 +1503,7 @@ class NcOperad(_RowWords):
     def _build_component(self, n):
         if n > self.max_in:
             raise TruncationExceeded(str(n))
-        return [self._be(rows) for m in range(1, self.max_factors + 1)
+        return [self._be(rows) for m in range(1, self.FACTORS + 1)
                 for rows in self._row_words(n, m)]
 
     def _build_action(self, n):

@@ -51,7 +51,7 @@ class TwistCocycle:
         return f"<twist {self.name}>"
 
 
-def _edge_key(graph, e):
+def _edge_key(e):
     return tuple(sorted(e))
 
 
@@ -65,7 +65,7 @@ class EdgeDeterminant(TwistCocycle):
     name = "K"
 
     def line(self, graph) -> LineData:
-        edges = sorted(_edge_key(graph, e) for e in graph.edges())
+        edges = sorted(_edge_key(e) for e in graph.edges())
 
         def char(vmap, fmap):
             image = [tuple(sorted((fmap[a], fmap[b]))) for a, b in edges]
@@ -78,17 +78,18 @@ class EdgeDeterminant(TwistCocycle):
         return wedge_reorder_sign(word, sorted(word))
 
 
-class EdgeOrientations(TwistCocycle):
+class EdgeOrientations(EdgeDeterminant):
     """Det of the sum of the per-edge orientation lines Or(e).
 
     Degree -|E|; an automorphism acts by the sign of the edge permutation
-    times -1 for every edge whose two flags it swaps.
+    times -1 for every edge whose two flags it swaps.  Gluing signs are
+    those of K: both reorder the same edge word.
     """
 
     name = "T"
 
     def line(self, graph) -> LineData:
-        edges = sorted(_edge_key(graph, e) for e in graph.edges())
+        edges = sorted(_edge_key(e) for e in graph.edges())
 
         def char(vmap, fmap):
             image = [tuple(sorted((fmap[a], fmap[b]))) for a, b in edges]
@@ -100,10 +101,6 @@ class EdgeOrientations(TwistCocycle):
             return sign
 
         return LineData(-len(edges), char)
-
-    def glue_sign(self, graph, blocks) -> int:
-        word = _block_edge_word(graph, blocks)
-        return wedge_reorder_sign(word, sorted(word))
 
 
 class FlagsOverTails(TwistCocycle):
@@ -128,7 +125,7 @@ class FlagsOverTails(TwistCocycle):
         for e in _block_edge_word(graph, blocks):
             word.extend(e)
         flat = [f for pair in sorted((tuple(x) for x in
-                                      (_edge_key(graph, e) for e in graph.edges())))
+                                      (_edge_key(e) for e in graph.edges())))
                 for f in pair]
         return wedge_reorder_sign(tuple(word), tuple(flat))
 
@@ -146,9 +143,9 @@ def _block_edge_word(graph, blocks):
         a, b = e
         va, vb = graph.boundary[a], graph.boundary[b]
         if block_of[va] == block_of[vb]:
-            internal[block_of[va]].append(_edge_key(graph, e))
+            internal[block_of[va]].append(_edge_key(e))
         else:
-            survive.append(_edge_key(graph, e))
+            survive.append(_edge_key(e))
     word = sorted(survive)
     for i in range(len(blocks)):
         word.extend(sorted(internal[i]))
@@ -162,7 +159,7 @@ class CycleDeterminant(TwistCocycle):
     name = "DetH1"
 
     def _cycle_basis(self, graph):
-        edges = sorted(_edge_key(graph, e) for e in graph.edges())
+        edges = sorted(_edge_key(e) for e in graph.edges())
         index = {e: i for i, e in enumerate(edges)}
         # spanning forest via union-find; non-tree edges give fundamental cycles
         parent = {v: v for v in graph.vertices}

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, average,
-                               cyclic_operator_N, invert, long_cycle,
                                perm_sign)
 from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, ModularE,
                               TableInstance, TrivialCyclic, dump_instance,
@@ -72,7 +71,7 @@ CASES = {
 
 
 def _loop(act):
-    return GroupAction(act.elements, act._apply_basis, t=act.t)
+    return GroupAction(act.elements, act._apply_basis)
 
 
 @functools.cache
@@ -102,11 +101,6 @@ def test_walk_average_equals_the_element_loop(case, idx, data):
         v = v + GradedVector.unit(be, Q(num, den))
     char = perm_sign if data.draw(st.booleans()) else None
     assert average(act, v, char) == average(loop, v, char)
-    if act.t is not None:
-        n = len(act.t)
-        assert act.t == invert(long_cycle(n))
-        assert cyclic_operator_N(act, v, n - 1) == \
-            cyclic_operator_N(loop, v, n - 1)
 
 
 def test_table_actions_and_their_tensors_keep_the_loop():

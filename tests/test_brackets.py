@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from opforge.brackets import (SumElement, boxminus, bv_verify, cyc_compose,
+from opforge.brackets import (SumElement, boxminus, bv_verify,
                               cyclic_average, cyclic_bracket, delta,
                               deviation_bracket,
                               dioperadic_bracket, dioperadic_product,
@@ -13,8 +13,8 @@ from opforge.brackets import (SumElement, boxminus, bv_verify, cyc_compose,
 from opforge.errors import KindMismatch, NotAssociativeMultiplication
 from opforge.gradedlin import BE, GradedVector, Q
 from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp,
-                              ModularE, check_axioms, naive_shift,
-                              operadic_suspension)
+                              ModularE, TrivialCyclic, check_axioms,
+                              naive_shift, operadic_suspension)
 
 V2 = [BE("x", 0), BE("y", 0)]
 K1 = [BE("x", 0)]
@@ -246,7 +246,28 @@ def test_n_on_invariant_scales():
     assert n_operator(acy, 2, a) == a.scale(3)
 
 
-def test_cyc_compose_slot_identities():
+def test_cyclic_operator_n():
+    # N = 1 + T + ... + T^n: T N(v) = N(v), N = (n + 1) id on invariants,
+    # and N^2 = (n + 1) N
+    rng = random.Random(37)
+    nonzero = 0
+    for o in (TrivialCyclic(), CyclicEnd(V2, sym_form(), max_arity=4),
+              CyclicEnd(V2, symplectic_form(), max_arity=4)):
+        for n in (1, 2, 3):
+            v = rnd_elt(rng, o, n).parts.get(n, GradedVector())
+            nv = n_operator(o, n, v)
+            nonzero += not nv.is_zero()
+            assert o.t_rot(n, nv) == nv
+            assert n_operator(o, n, nv) == nv.scale(n + 1)
+            assert n_operator(o, n, o.t_rot(n, v)) == nv
+    assert nonzero >= 6
+    one = GradedVector.unit(TrivialCyclic().component(2)[0])
+    assert n_operator(TrivialCyclic(), 2, one) == one.scale(3)
+    with pytest.raises(KindMismatch):
+        n_operator(EndOperad(V2, max_arity=3), 2, GradedVector())
+
+
+def test_rotated_circ_slot_identities():
     # the (i, 0)-aligned composition recovers circ_i as a cyclic class;
     # the biased storage of the two differs by a result rotation only
     acy = CyclicEnd(V2, symplectic_form(), max_arity=5)
@@ -254,7 +275,7 @@ def test_cyc_compose_slot_identities():
     a = rnd_elt(rng, acy, 2, 1).parts[2]
     b = rnd_elt(rng, acy, 2, 1).parts[2]
     for i in (1, 2):
-        lhs = cyclic_average(acy, 3, cyc_compose(a, i, 0, b, acy, 2, 2))
+        lhs = cyclic_average(acy, 3, acy.rotated_circ(2, a, i, 2, b, 0))
         rhs = cyclic_average(acy, 3, acy.circ(2, a, i, 2, b))
         assert lhs == rhs
 

@@ -131,6 +131,7 @@ INPUTS = {
     "end-operad.json": {"builtin": {"name": "end-operad"}},
     "cyclic-end.json": {"builtin": {"name": "cyclic-end", "form": {
         "entries": {"x|x": 1}}}},
+    "cyclic-end-no-form.json": {"builtin": {"name": "cyclic-end"}},
     "end-prop.json": {"builtin": {"name": "end-prop", "max_out": 6}},
 }
 MASTER = ("master", "--structure", "structure.json", "--space", "space.json")
@@ -233,6 +234,9 @@ def test_twist_verify_mismatch_exits_1():
      "1"),
     ("free", "--generators", "g03.json", "--kind", "nc-k-modular",
      "--twist", "1"),
+    ("feynman", "--in", "e.json", "--max-edges", "1", "--samples", "0"),
+    ("verify", "axioms", "--in", "cyclic-end-no-form.json"),
+    ("bracket", "jacobi", "--in", "cyclic-end-no-form.json"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, inputs):
     code, out, err = forge(*argv)

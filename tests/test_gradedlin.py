@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from opforge.gradedlin import (BE, ZERO, GradedVector, GroupAction, Span,
                                all_perms, average, compose, coords_in_span,
-                               cyclic_operator_N, identity_perm,
-                               independent_rows, invert, koszul_sign,
-                               long_cycle, perm_sign, permute_factors,
-                               rank_of, rref, suspend, wedge_reorder_sign)
+                               identity_perm, independent_rows, invert,
+                               koszul_sign, long_cycle, perm_sign,
+                               permute_factors, rank_of, rref, suspend,
+                               wedge_reorder_sign)
 
 # -- helpers only these tests use ------------------------------------------------
 
@@ -266,26 +266,6 @@ def test_average_dimension_matches_coinvariants_oracle():
                     diffs.append(dict(d.terms))
         coinv_dim = dim - rank_of(diffs)
         assert inv_dim == coinv_dim
-
-
-def test_cyclic_operator_n():
-    e = [BE(f"e{i}", 0) for i in range(3)]
-
-    def apply_basis(g, be):
-        i = int(be.ident[1])
-        return GradedVector.unit(e[(i + g) % 3])
-
-    act = GroupAction([0, 1, 2], apply_basis, t=1)
-    v = GradedVector.unit(e[0])
-    nv = cyclic_operator_N(act, v, 2)
-    assert nv == sum((GradedVector.unit(x) for x in e), GradedVector())
-    # T N = N
-    assert act.apply(1, nv) == nv
-    # identity action: N = (n+1) id
-    act_id = GroupAction([0], lambda g, be: GradedVector.unit(be), t=0)
-    assert cyclic_operator_N(act_id, v, 2) == v.scale(3)
-    # N^2 = (n+1) N on invariant inputs
-    assert cyclic_operator_N(act, nv, 2) == nv.scale(3)
 
 
 def test_linear_algebra():

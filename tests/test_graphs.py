@@ -790,18 +790,20 @@ def _same_with_every_candidate(cls, sig, max_edges, types=None):
     assert fast == full, (cls, sig, max_edges, types)
 
 
-@pytest.mark.parametrize("cls", [c for c in GRAPH_CLASSES
-                                 if "no-wheels" not in c])
+@pytest.mark.parametrize("cls", GRAPH_CLASSES)
 def test_last_edge_test_loses_no_class(cls):
-    # every signature the insertion enumerator is checked on, at one more
-    # edge, on which `run` uses the test; `graph` with a gamma is left out
-    # (two tails and gamma 0 alone take 40 s)
+    # every signature the insertion enumerator is checked on, and
+    # `stable-graph` without a genus, at one more edge: `run` uses the test
+    # in every class, closed under contraction or not; `graph` with a gamma
+    # is left out (two tails and gamma 0 alone take 40 s)
     directed = cls.startswith("directed") or "rooted" in cls
     checked = 0
     for n in range(3 if directed else 4):
-        for sig in _oracle_signatures(cls, n):
-            if G._Insertions(cls, sig, 3, None).closed and not (
-                    cls == "graph" and "gamma" in sig):
+        sigs = _oracle_signatures(cls, n)
+        if cls == "stable-graph":
+            sigs.append({"labels": [str(i) for i in range(n)]})
+        for sig in sigs:
+            if not (cls == "graph" and "gamma" in sig):
                 _same_with_every_candidate(cls, sig, 3)
                 checked += 1
     assert checked
