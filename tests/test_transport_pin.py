@@ -9,7 +9,10 @@ every gluing over its listed indices, sorted, and compares the sha256 of
 the dump with a digest recorded while five separate loops implemented the
 rule, before they became `smodules.transport`.  The `brackets` corpus
 dumps the brackets, Delta and the horizontal product on basis elements and
-on sums of them, as they were while each kept its own summing loop.
+on sums of them, as they were while each kept its own summing loop.  The
+`contractions` and `evaluate` corpora dump the Feynman transform's
+one-edge contraction index and the free construction's `evaluate`, as they
+were while every decoration contracted its edge on its own.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import inspect
 import io
 
 import pytest
+from master_oracle import MorphismChecker
 
 from opforge import brackets as B
 from opforge import cli
@@ -29,9 +33,10 @@ from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp,
                               ModularE, decorate, naive_shift,
                               operadic_suspension)
 from opforge.transform import (DgInstance, FeynmanTransform,
-                               NcTensorExtension, free_construct,
+                               NcTensorExtension, build_master_carrier,
+                               free_construct, modular_e_differential,
                                nc_extension, nc_operad,
-                               prop_generated_by_operad,
+                               prop_generated_by_operad, random_series,
                                trivial_modular_generator)
 
 
@@ -225,6 +230,65 @@ def feynman_records():
     return records
 
 
+def contraction_records():
+    """The one-edge contraction index of component (0,2) of the Feynman
+    transform of a dg E(V): V has basis a, b, c, z of degrees -1, 0, 0, 1,
+    the even form pairs a with z and b with c, and d a = b, d c = z."""
+    space = [BE("a", -1), BE("b", 0), BE("c", 0), BE("z", 1)]
+    form = BilinearForm(space, {("a", "z"): 1, ("b", "c"): 1}, degree=0,
+                        symmetry="sym")
+    E = ModularE(space, form, max_flags=6, max_genus=2)
+    diff = modular_e_differential(E, {
+        "a": GradedVector.unit(BE("b", 0)), "c": GradedVector.unit(BE("z", 1))})
+    F = FeynmanTransform(DgInstance(E, diff), [(0, 2)], 1, close_window=False)
+    records = []
+    for key, entries in F._contractions_into((0, 2)).items():
+        for bhat, word_sign, by_phi in entries:
+            records.append(("contract", repr(key), repr(bhat.key), word_sign))
+            for phi, images in by_phi.items():
+                records.append(("by_phi", repr(key), repr(bhat.key),
+                                repr(phi.ident), phi.degree, tuple(sorted(
+                                    (repr(x.ident), x.degree, str(c))
+                                    for x, c in images))))
+    return records
+
+
+def evaluate_records():
+    """`FreeTwisted.evaluate` on every basis element of the window and on
+    the gluings of the generators, for the generator map of a random
+    series of the master-equation carrier E(W (x) V)."""
+    w_space, v_space = [BE("wp", 1), BE("wm", -1)], [BE("x", 0), BE("y", -1)]
+    v_diff = {"y": GradedVector.unit(BE("x", 0))}
+    window = [(0, 3), (0, 4), (1, 1), (1, 2)]
+    carrier, _, _, (bw, bv) = build_master_carrier(
+        w_space, {("wp", "wm"): 1}, v_space, {("x", "y"): 1}, v_diff)
+    oracle = MorphismChecker(w_space, v_space, v_diff, window, carrier.form)
+    series = random_series(carrier, window, 1)
+    target = ModularE(v_space, bv, max_flags=4, max_genus=1)
+    free = FeynmanTransform(
+        DgInstance(ModularE(w_space, bw, max_flags=4, max_genus=1)), window,
+        1, close_window=False).free
+
+    def gen_map(loc, x):
+        table = oracle.m_hat(series, loc, x.ident[1][2])
+        return GradedVector({target._be([BE(i, d) for i, d in k], *loc): c
+                             for k, c in table.items()})
+
+    inputs = [(idx, GradedVector.unit(be))
+              for idx in window for be in free.component(idx)]
+    gens = [be for be in free.component((0, 3))
+            if not free.expand((0, 3), be)[0].graph.edges()]
+    inputs += [((0, 4), free.circ_st_basis((0, 3), x, s, (0, 3), y, t))
+               for x in gens for y in gens for s in range(3) for t in range(3)]
+    inputs += [((1, 2), free.self_basis((0, 4), x, s, t))
+               for x in free.component((0, 4))
+               if not free.expand((0, 4), x)[0].graph.edges()
+               for s in range(4) for t in range(s + 1, 4)]
+    return [("evaluate", idx, _vec(v),
+             _vec(free.evaluate(idx, v, target, gen_map)))
+            for idx, v in inputs]
+
+
 def _sum_parts(f):
     try:
         return tuple((repr(idx), _vec(v)) for idx, v in f().items())
@@ -333,6 +397,10 @@ PINNED = {
     "daafce5cde83d8faf18e0ffc542fd8f6e4680ca3b41e1313645b47bf0da94ee0",
     "brackets":
     "e33a0b1cd36388d7c333c5f884181f6fbfb8f8cd89d741c4453ab9a813a447e5",
+    "contractions":
+    "7670024a336a293aaa6e9deab62c86e86e27cbd895ae5b2fbef5afca816380d9",
+    "evaluate":
+    "64dfe4efebc185caf81ebba38ee1078fd0aa000a59103be769e9b7e0d19c00a9",
 }
 
 
@@ -344,6 +412,8 @@ PINNED = {
     ("nc_free", nc_free_records),
     ("feynman", feynman_records),
     ("brackets", brackets_records),
+    ("contractions", contraction_records),
+    ("evaluate", evaluate_records),
 ])
 def test_factor_moves_match_the_pinned_dump(name, dump):
     assert _digest(dump()) == PINNED[name]
