@@ -151,7 +151,8 @@ class GradedVector:
         data = {}
         if terms:
             for be, c in terms.items():
-                c = Q(c)
+                if not isinstance(c, Q):
+                    c = Q(c)
                 if c:
                     data[be] = c
         self.terms = data
@@ -318,6 +319,10 @@ def average(action: GroupAction, v: GradedVector,
     `char` is a sign character of the group (default: trivial); the result
     is then the projection onto the char-isotypic part.
 
+    Both ways of summing scale v by the common denominator den of its
+    coefficients (`_integer_terms`), keep the sums in ints while the images
+    have integer coefficients, and divide by |G| * den once at the end.
+
     An action with `generators` (the S_n actions of `symmetric_action`) is
     summed along a breadth-first walk of its Cayley graph: each element's
     image is one generator applied to its parent's image, so only generator
@@ -334,26 +339,40 @@ def average(action: GroupAction, v: GradedVector,
     `certify_dg_algebra` maps out of.  A free construction decides zero
     and equality of coinvariant classes without it (`coinvariant_class`).
     """
+    terms, den = _integer_terms(v)
     if action.generators:
-        acc, den = _walk_sum(action, v, char)
+        acc = _walk_sum(action, terms, char)
     else:
-        acc, den = {}, 1
+        acc = {}
         for g in action.elements:
             s = char(g) if char else 1
-            for be, c in v.terms.items():
+            for be, c in terms:
+                c *= s
                 for img, d in action.apply_basis(g, be).terms.items():
-                    acc[img] = acc.get(img, ZERO) + s * c * d
-    scale = Q(1, action.order() * den)
-    return GradedVector({be: c * scale for be, c in acc.items()})
+                    acc[img] = acc.get(img, 0) + c * _int_if_whole(d)
+    n = action.order() * den
+    return GradedVector({be: Q(c, n) for be, c in acc.items() if c})
 
 
-def _walk_sum(action: GroupAction, v: GradedVector, char) -> tuple[dict, int]:
-    """den * sum_g char(g) g.v along the walk of `average`, and den.
+def _integer_terms(v: GradedVector) -> tuple[list, int]:
+    """([(be, den * c)], den) with den the common denominator of v's
+    coefficients, so every den * c is an int."""
+    den = math.lcm(*(c.denominator for c in v.terms.values()))
+    return [(be, c.numerator * (den // c.denominator))
+            for be, c in v.terms.items()], den
+
+
+def _int_if_whole(c: Fraction):
+    """c as an int when it is one, so sums of such stay in ints."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _walk_sum(action: GroupAction, scaled: list, char) -> dict:
+    """sum_g char(g) g.v along the walk of `average`, for v given by its
+    integer-scaled terms `scaled`.
 
     The elements come level by level from `_cayley_tree`, and only the
-    vectors of one level are held at a time.  v is scaled by the common
-    denominator den of its coefficients, so the sums stay in ints while the
-    generators act by integer matrices.
+    vectors of one level are held at a time.
     """
     gens = action.generators
     n = len(gens[0])
@@ -371,9 +390,7 @@ def _walk_sum(action: GroupAction, v: GradedVector, char) -> tuple[dict, int]:
             named.append(be)
         return i
 
-    den = math.lcm(*(c.denominator for c in v.terms.values()))
-    root = {number_of(be): c.numerator * (den // c.denominator)
-            for be, c in v.terms.items()}
+    root = {number_of(be): c for be, c in scaled}
     acc: dict = {}
 
     def add(terms, s):
@@ -392,17 +409,15 @@ def _walk_sum(action: GroupAction, v: GradedVector, char) -> tuple[dict, int]:
                 terms = known.get(i)
                 if terms is None:
                     image = action.apply_basis(gens[k], named[i])
-                    terms = known[i] = [
-                        (number_of(be),
-                         d.numerator if d.denominator == 1 else d)
-                        for be, d in image.terms.items()]
+                    terms = known[i] = [(number_of(be), _int_if_whole(d))
+                                        for be, d in image.terms.items()]
                 for j, d in terms:
                     img[j] = img.get(j, 0) + c * d
             img = {j: c for j, c in img.items() if c}
             nxt.append(img)
             add(img, char(g) if char else 1)
         frontier = nxt
-    return {named[i]: c for i, c in acc.items()}, den
+    return {named[i]: c for i, c in acc.items()}
 
 
 def invariant_basis(action: GroupAction, basis: Sequence[BE],

@@ -1119,7 +1119,8 @@ def decorate(src: StructureInstance, graph, flavor: str):
     component of its gamma label.  An automorphism acts on each factor by
     `local_move` and moves it to the image vertex with the Koszul sign
     (`merge_into`); the action keeps degrees, so the order does not change
-    the sign.
+    the sign.  An automorphism that fixes every vertex and flag moves
+    nothing, and its image of a is a itself, found before any move.
 
     Returns (basis, action, vertex_order) where basis elements are tuples of
     per-vertex basis elements in the fixed vertex order.
@@ -1129,8 +1130,11 @@ def decorate(src: StructureInstance, graph, flavor: str):
     per_vertex = [src.component(local_index(flavor, graph, v)) for v in vorder]
     basis = [decoration(c) for c in itertools.product(*per_vertex)]
     orders = [local_flag_order(flavor, graph, v) for v in vorder]
+    fixed = ({v: v for v in vorder}, {f: f for f in graph.flags})
 
     def apply_basis(phi, a):
+        if phi == fixed:
+            return GradedVector.unit(a)
         vmap, fmap = phi
         moves = [local_move(flavor, graph, vmap[v], [fmap[f] for f in order])
                  for v, order in zip(vorder, orders)]

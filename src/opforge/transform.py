@@ -28,9 +28,9 @@ from . import graphs as G
 from .brackets import SumElement, cyclic_bracket, delta
 from .errors import (DegreeError, KindMismatch, NonInvertibleTwist,
                      TruncationExceeded, UnsupportedKind)
-from .gradedlin import (BE, GradedVector, GroupAction, Q, Span, all_perms,
-                        average, coords_in_span, invariant_basis, invert,
-                        koszul_sign, symmetric_action,
+from .gradedlin import (BE, ZERO, GradedVector, GroupAction, Q, Span,
+                        all_perms, average, coords_in_span, invariant_basis,
+                        invert, koszul_sign, symmetric_action,
                         wedge_reorder_sign)
 from .smodules import (BilinearForm, ModularE, StructureInstance, decorate,
                        decoration, decoration_factors, kind_flavor,
@@ -85,6 +85,7 @@ class _GraphBlock:
     inv_bes: list
     inv_vectors: list  # dicts raw BE -> Fraction
     span: Span  # of inv_vectors: project_raw solves against it
+    char: object  # twist character of aut, folded into averages; or None
 
 
 def _position_label(i: int) -> str:
@@ -154,14 +155,14 @@ class FreeTwisted(StructureInstance):
         if key in table:
             return table[key]
         basis, aut, _ = decorate(self.gen, graph, kind_flavor(self.kind))
-        # the twist character is folded into the averages
-        invs = invariant_basis(aut, basis, self._twist_char(graph))
+        char = self._twist_char(graph)  # folded into the averages
+        invs = invariant_basis(aut, basis, char)
         inv_vectors = [dict(avg.terms) for _, avg in invs]
         shift = self.edge_degree * len(graph.edges())
         inv_bes = [BE(("fc", key, j), basis[i].degree + shift)
                    for j, (i, _) in enumerate(invs)]
         block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors,
-                            Span(inv_vectors))
+                            Span(inv_vectors), char)
         table[key] = block
         return block
 
@@ -180,8 +181,10 @@ class FreeTwisted(StructureInstance):
         return self._blocks[idx]
 
     def _twist_char(self, graph):
+        """The character of Aut(graph) on the twist line; None when the
+        twist is trivial.  Built once per block and kept on it."""
         if not self.odd:
-            return lambda phi: 1
+            return None
         char = EdgeDeterminant().line(graph).char
         return lambda phi: char(*phi)
 
@@ -196,7 +199,7 @@ class FreeTwisted(StructureInstance):
     def project_raw(self, idx, block: _GraphBlock, raw: GradedVector) -> GradedVector:
         """Average a raw vector (twist-weighted) and express it in the
         invariant basis of its block, solved against the block's span."""
-        avg = average(block.aut, raw, self._twist_char(block.graph))
+        avg = average(block.aut, raw, block.char)
         if avg.is_zero():
             return GradedVector()
         coords = coords_in_span(block.span, avg.terms)
@@ -387,7 +390,7 @@ class FreeTwisted(StructureInstance):
             cblock = self._block(canon, self._class_blocks)
             into = raws.setdefault(cblock.key, (cblock, {}))[1]
             for dec, x in acc.items():
-                into[dec] = into.get(dec, Q(0)) + x
+                into[dec] = into.get(dec, ZERO) + x
         return self.project_blocks(idx, raws.values())
 
     # -- the universal property ---------------------------------------------
@@ -398,29 +401,36 @@ class FreeTwisted(StructureInstance):
         equivariant map of degree 0.
 
         Only connected graphs with at most one edge: the edge is contracted
-        in the target by `_contract_dec`, so the image of circ_st_basis(a,
-        s, b, t) is the target's circ_st of the images, and likewise for
-        self_basis.  The result lies in the target's component idx, its
-        factors in the order of the tail labels.
+        in the target by a `_ContractionPlan`, one per block, so the image
+        of circ_st_basis(a, s, b, t) is the target's circ_st of the images,
+        and likewise for self_basis.  The result lies in the target's
+        component idx, its factors in the order of the tail labels.
         """
         flavor = kind_flavor(self.kind)
         act = target.action(idx)
         pos = {_position_label(i): i for i in range(self.arity(idx))}
+        plans: dict = {}  # block key -> (plan or None, locs, order)
         acc: dict = {}
         for be, c in v.terms.items():
             block, raw = self.expand(idx, be)
-            graph, canon, relabel = block.graph, block.graph, None
-            edges = graph.edges()
-            if len(edges) > 1 or len(graph.vertices) > len(edges) + 1:
-                raise UnsupportedKind("evaluate takes connected graphs with "
-                                      "at most one edge")
-            if edges:
-                canon, relabel = G.canonical_form(
-                    G.contract_edge(graph, edges[0]))
-            (vertex,) = canon.vertices
-            order = tuple(pos[canon.labels[f]]
-                          for f in local_flag_order(flavor, canon, vertex))
-            locs = [local_index(flavor, graph, w) for w in graph.vertices]
+            if block.key not in plans:
+                graph, canon, plan = block.graph, block.graph, None
+                edges = graph.edges()
+                if len(edges) > 1 or len(graph.vertices) > len(edges) + 1:
+                    raise UnsupportedKind("evaluate takes connected graphs "
+                                          "with at most one edge")
+                if edges:
+                    canon, relabel = G.canonical_form(
+                        G.contract_edge(graph, edges[0]))
+                    plan = _ContractionPlan(target, graph, edges[0], canon,
+                                            relabel)
+                (vertex,) = canon.vertices
+                plans[block.key] = (
+                    plan, [local_index(flavor, graph, w)
+                           for w in graph.vertices],
+                    tuple(pos[canon.labels[f]]
+                          for f in local_flag_order(flavor, canon, vertex)))
+            plan, locs, order = plans[block.key]
             for dec, cd in raw.terms.items():
                 for combo in itertools.product(*[
                         gen_map(loc, x).terms.items()
@@ -429,13 +439,12 @@ class FreeTwisted(StructureInstance):
                     for _, ci in combo:
                         coeff *= ci
                     images = tuple(y for y, _ in combo)
-                    out = (_contract_dec(target, graph, images, edges[0],
-                                         canon, relabel) if edges
+                    out = (plan.contract(images) if plan
                            else GradedVector.unit(decoration(images)))
                     for y, cy in out.terms.items():
                         (z,) = decoration_factors(y)
                         for b, cb in act.apply_basis(order, z).terms.items():
-                            acc[b] = acc.get(b, Q(0)) + coeff * cy * cb
+                            acc[b] = acc.get(b, ZERO) + coeff * cy * cb
         return GradedVector(acc)
 
 
@@ -808,55 +817,73 @@ def closed_window(requested, max_edges: int):
     return [(g, n) for g in range(gmax + 1) for n in range(nmax + 1)]
 
 
-def _contract_dec(o, ghat, dec, e, canon, relabel) -> GradedVector:
-    """Contract edge e of ghat, whose vertices carry the factors dec of o.
+class _ContractionPlan:
+    """Contraction of edge e of ghat onto canon, its canonical form, with
+    the vertices of ghat decorated by factors of o.
 
-    The factors at the ends of e are glued by the source's own
-    composition; the result and the untouched factors are transported
-    onto the canonical contracted graph and merged in its vertex order.
+    Everything that does not depend on the factors is worked out once: the
+    flag positions s, t of e's ends, the flags the glued factor keeps, the
+    merged vertex, the vertices and `local_move`s of the other factors.
+    `contract` glues the factors at the ends of e by o's own composition,
+    then transports the result and the untouched factors onto canon and
+    merges them in its vertex order.
     """
-    flavor = kind_flavor(o.kind)
-    f1, f2 = e
-    v1, v2 = ghat.boundary[f1], ghat.boundary[f2]
-    old_vs = list(ghat.vertices)
-    p1 = old_vs.index(v1)
-    if v1 == v2:
-        order = local_flag_order(flavor, ghat, v1)
-        s, t = sorted((order.index(f1), order.index(f2)))
-        glued = o.self_basis(local_index(flavor, ghat, v1), dec[p1], s, t)
-        glued_flags = [order[k] for k in rotation_order2(len(order), s, t)]
-        others = [i for i in range(len(old_vs)) if i != p1]
-        sign0 = 1
-    else:
-        p2 = old_vs.index(v2)
+
+    def __init__(self, o, ghat, e, canon, relabel):
+        flavor = kind_flavor(o.kind)
+        self.o, self.canon = o, canon
+        f1, f2 = e
+        v1, v2 = ghat.boundary[f1], ghat.boundary[f2]
+        old_vs = list(ghat.vertices)
+        self.p1 = old_vs.index(v1)
+        self.idx1 = local_index(flavor, ghat, v1)
         o1 = local_flag_order(flavor, ghat, v1)
-        o2 = local_flag_order(flavor, ghat, v2)
-        s, t = o1.index(f1), o2.index(f2)
-        # bring the two factors to the front in (p1, p2) order
-        others = [i for i in range(len(old_vs)) if i not in (p1, p2)]
-        perm_target = [p1, p2] + others
-        perm = tuple(perm_target.index(i) for i in range(len(old_vs)))
-        sign0 = koszul_sign(perm, [x.degree for x in dec])
-        glued = o.circ_st_basis(local_index(flavor, ghat, v1), dec[p1], s,
-                                local_index(flavor, ghat, v2), dec[p2], t)
-        glued_flags = ([o1[k] for k in rotation_order(len(o1), s)]
-                       + [o2[k] for k in rotation_order(len(o2), t)])
-    vnew, fnew = relabel["vertices"], relabel["flags"]
-    merged_v = canon.boundary[fnew[glued_flags[0]]] \
-        if glued_flags else vnew[min(v1, v2)]
-    # the glued factor sits at the merged vertex, the others move along
-    slots = [(merged_v, [fnew[f] for f in glued_flags])] + [
-        (vnew[old_vs[i]],
-         [fnew[f] for f in local_flag_order(flavor, ghat, old_vs[i])])
-        for i in others]
-    names = [v for v, _ in slots]
-    moves = [local_move(flavor, canon, v, flags) for v, flags in slots]
-    rest = [dec[i] for i in others]
-    acc: dict = {}
-    for gbe, gc in glued.terms.items():
-        terms = transport(o, [gbe] + rest, moves)
-        merge_into(acc, canon, [(names, terms)], sign0 * gc)
-    return GradedVector(acc)
+        if v1 == v2:
+            self.p2 = None
+            self.s, self.t = sorted((o1.index(f1), o1.index(f2)))
+            glued_flags = [o1[k] for k in rotation_order2(len(o1), self.s,
+                                                          self.t)]
+            self.others = [i for i in range(len(old_vs)) if i != self.p1]
+        else:
+            self.p2 = old_vs.index(v2)
+            self.idx2 = local_index(flavor, ghat, v2)
+            o2 = local_flag_order(flavor, ghat, v2)
+            self.s, self.t = o1.index(f1), o2.index(f2)
+            # bring the two factors to the front in (p1, p2) order
+            self.others = [i for i in range(len(old_vs))
+                           if i not in (self.p1, self.p2)]
+            front = [self.p1, self.p2] + self.others
+            self.perm = tuple(front.index(i) for i in range(len(old_vs)))
+            glued_flags = ([o1[k] for k in rotation_order(len(o1), self.s)]
+                           + [o2[k] for k in rotation_order(len(o2), self.t)])
+        vnew, fnew = relabel["vertices"], relabel["flags"]
+        merged_v = canon.boundary[fnew[glued_flags[0]]] \
+            if glued_flags else vnew[min(v1, v2)]
+        # the glued factor sits at the merged vertex, the others move along
+        slots = [(merged_v, [fnew[f] for f in glued_flags])] + [
+            (vnew[old_vs[i]],
+             [fnew[f] for f in local_flag_order(flavor, ghat, old_vs[i])])
+            for i in self.others]
+        self.names = [v for v, _ in slots]
+        self.moves = [local_move(flavor, canon, v, flags)
+                      for v, flags in slots]
+
+    def contract(self, dec) -> GradedVector:
+        """The contraction of the decoration with per-vertex factors dec."""
+        o = self.o
+        if self.p2 is None:
+            glued = o.self_basis(self.idx1, dec[self.p1], self.s, self.t)
+            sign0 = 1
+        else:
+            glued = o.circ_st_basis(self.idx1, dec[self.p1], self.s,
+                                    self.idx2, dec[self.p2], self.t)
+            sign0 = koszul_sign(self.perm, [x.degree for x in dec])
+        rest = [dec[i] for i in self.others]
+        acc: dict = {}
+        for gbe, gc in glued.terms.items():
+            terms = transport(o, [gbe] + rest, self.moves)
+            merge_into(acc, self.canon, [(self.names, terms)], sign0 * gc)
+        return GradedVector(acc)
 
 
 class FeynmanTransform:
@@ -868,7 +895,9 @@ class FeynmanTransform:
     phi's primal decoration in the contraction of x along the new edge.
     `d_edge` reads them from an index of each component's contractions by
     the block they land in, and projects into a block by solving against
-    its one `Span`.  Dual and primal words are paired factor by factor with
+    its one `Span`.  The index is built with one `_ContractionPlan` per
+    (block, edge), shared by every decoration of the block.  Dual and
+    primal words are paired factor by factor with
     no Koszul sign, in the internal part too, so (d* phi)(x) = -phi(dx) on
     each factor (see `_dual_diff`).
     """
@@ -913,11 +942,12 @@ class FeynmanTransform:
             image, sorted(tuple(sorted(x)) for x in canon.edges()))
 
         flavor = kind_flavor(o.kind)
+        plan = _ContractionPlan(o, ghat, e, canon, relabel)
         raw_map = {}
         for dec in itertools.product(*[o.component(local_index(flavor, ghat, v))
                                        for v in ghat.vertices]):
             ident = tuple((x.ident, x.degree) for x in dec)
-            raw_map[ident] = _contract_dec(o, ghat, dec, e, canon, relabel)
+            raw_map[ident] = plan.contract(dec)
         return canon, word_sign, raw_map
 
     def _contractions_into(self, idx) -> dict:
@@ -987,7 +1017,7 @@ class FeynmanTransform:
                         for nf, c2 in img.terms.items():
                             nbe = decoration(
                                 factors[:slot] + (nf,) + factors[slot + 1:])
-                            acc[nbe] = acc.get(nbe, Q(0)) + c * cd * c2 * sign
+                            acc[nbe] = acc.get(nbe, ZERO) + c * cd * c2 * sign
             parts[idx] = F.project_blocks(idx, per_block.values())
         return SumElement(parts)
 
@@ -1007,7 +1037,7 @@ class FeynmanTransform:
                 img = self.source.d(loc, GradedVector.unit(b))
                 for b2, c in img.terms.items():
                     acc = by_primal.setdefault(b2.ident, {})
-                    acc[dual] = acc.get(dual, Q(0)) - c
+                    acc[dual] = acc.get(dual, ZERO) - c
             self._dual_diffs[loc] = {ident: GradedVector(acc)
                                      for ident, acc in by_primal.items()}
         return self._dual_diffs[loc].get(phi.ident[1], GradedVector())
@@ -1202,7 +1232,7 @@ def _pairing_table(m: GradedVector, idx, w_space, target) -> dict:
         vs = [BE(u[2], d - wdeg[u[1]]) for u, d in be.ident[2]]
         acc = out.setdefault(tuple(w.ident for w in ws), {})
         b = target._be(vs, g, n)
-        acc[b] = acc.get(b, Q(0)) + scale * c * _unzip_sign(ws, vs)
+        acc[b] = acc.get(b, ZERO) + scale * c * _unzip_sign(ws, vs)
     return {word: GradedVector(acc) for word, acc in out.items()}
 
 
@@ -1342,7 +1372,7 @@ class _RowWords(StructureInstance):
         acc: dict = {}
         for c, factors in transport(self.base, [x for x, _ in rows], moves):
             be = self._be(list(zip(factors, labels)))
-            acc[be] = acc.get(be, Q(0)) + c
+            acc[be] = acc.get(be, ZERO) + c
         return GradedVector(acc)
 
     def _relabeled(self, rows, p) -> GradedVector:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, MissingVertexType
-from .gradedlin import Q, Span, coords_in_span, wedge_reorder_sign
+from .gradedlin import ZERO, Q, Span, coords_in_span, wedge_reorder_sign
 from . import graphs as G
 
 
@@ -191,7 +191,7 @@ class CycleDeterminant(TwistCocycle):
             if va != vb:
                 path = self._tree_path(adj, vb, va)
                 for te, orient in path:
-                    vec[index[te]] = vec.get(index[te], Q(0)) + orient
+                    vec[index[te]] = vec.get(index[te], ZERO) + orient
             basis.append(vec)
         return edges, index, basis
 
@@ -223,7 +223,7 @@ class CycleDeterminant(TwistCocycle):
                     ta, tb = fmap[a], fmap[b]
                     te = tuple(sorted((ta, tb)))
                     flip = 1 if ta == te[0] else -1
-                    moved[index[te]] = moved.get(index[te], Q(0)) + flip * c
+                    moved[index[te]] = moved.get(index[te], ZERO) + flip * c
                 coords = coords_in_span(span, moved)
                 if coords is None:
                     raise InputError("automorphism does not preserve cycles")

@@ -3,7 +3,9 @@
 Every built-in S_n action is built by `symmetric_action`, and `average`
 reaches its elements by applying adjacent transpositions only.  The oracle
 is the same elements and the same `apply_basis` summed one element at a
-time: a `GroupAction` without generators.
+time: a `GroupAction` without generators.  Both sums scale to integers and
+divide once; they are also checked against the plain `Fraction` sum on an
+action whose images have non-unit rational coefficients.
 """
 
 import functools
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, average,
-                               perm_sign)
+from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
+                               average, perm_sign, symmetric_action)
 from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, ModularE,
                               TableInstance, TrivialCyclic, dump_instance,
                               operadic_suspension, tensor_structures)
@@ -138,3 +140,47 @@ def test_s7_average_glues_each_generator_image_once():
     # the loop makes 5040 gluings per term, so it is compared on one term
     one = GradedVector.unit(basis[0])
     assert nc.average(idx, one) == average(_loop(nc.action(idx)), one)
+
+
+# the permutation representation of S_3 conjugated by a rational diagonal:
+# g e_i = (w[g(i)] / w[i]) e_g(i), a homomorphism with non-unit images; its
+# sign-twisted copy has a sign-isotypic part, where the untwisted has none
+WEIGHTS = (Q(1), Q(-2, 3), Q(5, 4))
+E3 = [BE(("e", i), i % 2) for i in range(3)]
+
+
+def _scaled(g, be):
+    i = be.ident[1]
+    return GradedVector.unit(E3[g[i]], WEIGHTS[g[i]] / WEIGHTS[i])
+
+
+def _scaled_signed(g, be):
+    return _scaled(g, be).scale(perm_sign(g))
+
+
+def _direct_average(act, v, char):
+    """(1/|G|) sum_g char(g) g.v, term by term in Fractions."""
+    out = GradedVector()
+    for g in act.elements:
+        out = out + act.apply(g, v).scale(char(g) if char else 1)
+    return out.scale(Q(1, act.order()))
+
+
+@pytest.mark.parametrize("apply_basis", [_scaled, _scaled_signed])
+@settings(deadline=None, max_examples=30)
+@given(coeffs=st.lists(st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=6),
+                       min_size=3, max_size=3),
+       sign=st.booleans())
+def test_average_matches_the_direct_fraction_sum(apply_basis, coeffs, sign):
+    v = GradedVector(dict(zip(E3, coeffs)))
+    char = perm_sign if sign else None
+    listed = GroupAction(all_perms(3), apply_basis)
+    walked = symmetric_action(3, apply_basis)
+    want = _direct_average(listed, v, char)
+    assert average(listed, v, char) == want
+    assert average(walked, v, char) == want
+    if (apply_basis is _scaled_signed) == sign:
+        # the isotypic part averaged onto is not zero
+        assert not _direct_average(listed, GradedVector.unit(E3[0]),
+                                   char).is_zero()

@@ -114,6 +114,17 @@ def test_exact_arithmetic_roundtrip():
     assert (a + b - b - a).is_zero()
 
 
+def test_coefficients_become_fractions_and_zeros_are_dropped():
+    x, y = BE("x", 0), BE("y", 1)
+    v = GradedVector({x: 3, y: "2/5"})
+    assert v.terms == {x: Q(3), y: Q(2, 5)}
+    assert all(type(c) is Q for c in v.terms.values())
+    third = Q(1, 3)
+    assert GradedVector({x: third}).terms[x] is third
+    for zero in (0, Q(0), "0"):
+        assert GradedVector({x: zero, y: 1}).terms == {y: Q(1)}
+
+
 def test_perm_basics():
     p = (1, 2, 0)
     assert compose(p, invert(p)) == identity_perm(3)

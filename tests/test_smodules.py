@@ -1,17 +1,23 @@
+import functools
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opforge.errors import DegenerateForm, KindMismatch, TruncationExceeded
-from opforge.gradedlin import BE, GradedVector, Q, all_perms, invert, long_cycle
+from opforge.gradedlin import (BE, ONE, GradedVector, Q, all_perms, invert,
+                               long_cycle)
 from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, EndProp,
                               ModularE, TableInstance, Transported,
                               TrivialCyclic, block_insert, check_axioms,
-                              _ident_to_str, decorate, dump_instance,
-                              kind_is_odd, naive_shift, operadic_suspension,
-                              tensor_structures)
+                              _ident_to_str, decorate, decoration_factors,
+                              dump_instance, kind_is_odd, local_flag_order,
+                              local_move, merge_into, naive_shift,
+                              operadic_suspension, tensor_structures,
+                              transport)
 
 V2 = [BE("x", 0), BE("y", 0)]
 K1 = [BE("x", 0)]
@@ -316,6 +322,88 @@ def test_decorate_theta_action_is_signed_permutation():
     for be in basis[:4]:
         once = act.apply(phi, act.apply(phi, GradedVector.unit(be)))
         assert len(once.terms) == 1
+
+
+def _odd_plane_form():
+    space = [BE("p", 1), BE("q", -1)]
+    return space, BilinearForm(space, {("p", "q"): 1}, symmetry="antisym")
+
+
+def _nc_banana():
+    """Two gamma-1 vertices joined by two edges, one unlabelled tail each:
+    Aut swaps the edges and swaps the vertices."""
+    from opforge.graphs import Graph
+    flags = ["f1", "f2", "g1", "g2", "t1", "t2"]
+    return Graph(["a", "b"], flags,
+                 {"f1": "g1", "g1": "f1", "f2": "g2", "g2": "f2",
+                  "t1": "t1", "t2": "t2"},
+                 {"f1": "a", "f2": "a", "t1": "a",
+                  "g1": "b", "g2": "b", "t2": "b"}, gamma={"a": 1, "b": 1})
+
+
+def _two_corollas():
+    from opforge.graphs import corolla, graft
+    return graft(corolla("u", ["a", "b", "c"]), "c",
+                 corolla("w", ["d", "e", "f"]), "d")
+
+
+# name -> (source, graph, flavor, |Aut|); every factor is odd, so each
+# Koszul sign of a move shows in the images
+DECORATED = {
+    "theta": (lambda: ModularE(*_odd_plane_form(), max_flags=6, max_genus=3),
+              theta_graph, "modular", 12),
+    "nc-banana": (
+        lambda: ModularE(*_odd_plane_form(), max_flags=6, max_genus=3),
+        _nc_banana, "nc-modular", 4),
+    "cyclic-tree": (lambda: CyclicEnd(*_odd_plane_form(), max_arity=4),
+                    _two_corollas, "cyclic", 8),
+}
+
+
+@functools.cache
+def _decorated(name):
+    make, graph, flavor, order = DECORATED[name]
+    src, graph = make(), graph()
+    basis, act, vorder = decorate(src, graph, flavor)
+    assert len(act.elements) == order
+    return src, graph, flavor, basis, act, vorder
+
+
+def _after(g, h):
+    """The automorphism g after h."""
+    return ({v: g[0][w] for v, w in h[0].items()},
+            {f: g[1][x] for f, x in h[1].items()})
+
+
+@pytest.mark.parametrize("name", DECORATED)
+def test_identity_moves_nothing_through_the_generic_path(name):
+    # the moves, transport and merge of every other automorphism, run on
+    # the identity, leave each decoration as it is: the shortcut that skips
+    # them for the identity gives the same images
+    src, graph, flavor, basis, act, vorder = _decorated(name)
+    identity = ({v: v for v in graph.vertices}, {f: f for f in graph.flags})
+    assert identity in act.elements
+    moves = [local_move(flavor, graph, v, local_flag_order(flavor, graph, v))
+             for v in vorder]
+    for a in basis:
+        acc: dict = {}
+        merge_into(acc, graph, [(vorder, transport(
+            src, decoration_factors(a), moves))], ONE)
+        assert GradedVector(acc) == GradedVector.unit(a)
+        assert act.apply_basis(identity, a) == GradedVector.unit(a)
+
+
+@pytest.mark.parametrize("name", DECORATED)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_decorated_action_is_a_homomorphism(name, data):
+    _, graph, _, basis, act, _ = _decorated(name)
+    identity = ({v: v for v in graph.vertices}, {f: f for f in graph.flags})
+    pick = st.sampled_from(act.elements + [identity])
+    g, h = data.draw(pick), data.draw(pick)
+    a = data.draw(st.sampled_from(basis))
+    assert act.apply(g, act.apply_basis(h, a)) \
+        == act.apply_basis(_after(g, h), a)
 
 
 # -- equivariance helper -------------------------------------------------------
