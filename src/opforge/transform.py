@@ -897,9 +897,9 @@ class FeynmanTransform:
     the block they land in, and projects into a block by solving against
     its one `Span`.  The index is built with one `_ContractionPlan` per
     (block, edge), shared by every decoration of the block.  Dual and
-    primal words are paired factor by factor with
-    no Koszul sign, in the internal part too, so (d* phi)(x) = -phi(dx) on
-    each factor (see `_dual_diff`).
+    primal words are paired factor by factor with no Koszul sign, in the
+    internal part too, so (d* phi)(x) = -phi(dx) on each factor (see
+    `_dual_diff`).
     """
 
     def __init__(self, source: DgInstance, window, max_edges: int,
