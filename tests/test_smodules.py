@@ -398,6 +398,7 @@ def test_identity_moves_nothing_through_the_generic_path(name):
 @given(data=st.data())
 def test_decorated_action_is_a_homomorphism(name, data):
     _, graph, _, basis, act, _ = _decorated(name)
+    # a fresh copy of the identity too: the shortcut compares by value
     identity = ({v: v for v in graph.vertices}, {f: f for f in graph.flags})
     pick = st.sampled_from(act.elements + [identity])
     g, h = data.draw(pick), data.draw(pick)
