@@ -236,8 +236,10 @@ class GroupAction:
 
     Group elements are opaque hashables; `apply_basis(g, e)` must return the
     image of basis element e as a GradedVector and preserve degree.  Images
-    are cached per (g, e).  The rotation of a cyclic component is not
-    stored: `StructureInstance.t_rot` derives it from the arity.
+    are cached per (g, e); an unhashable g, such as a (vmap, fmap) pair of
+    dicts a caller builds, is cached by its repr.  The rotation of a cyclic
+    component is not stored: `StructureInstance.t_rot` derives it from the
+    arity.
 
     `generators`, when given, are involutive permutations of range(n) that
     generate the group of `elements`, `apply_basis` is a homomorphism or an

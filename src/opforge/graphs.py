@@ -6,23 +6,25 @@ orbits of the involution are edges, fixed points are tails.  Optional
 decorations: genus and gamma labels on vertices, orientation on flags, and
 an injective labeling of tails.
 
-A graph is immutable after construction.  It carries two caches:
+A graph is immutable after construction.  It carries three caches:
 `Graph._vflags`, the vertex -> flags index the first `vertex_flags` call
-builds, and `Graph._canon`, the result of the single canonical search
-(`_search`) that the first call of `canonical_key`, `canonical_form` or
+builds; `Graph._vinv`, each vertex's `_vertex_invariant`, worked out by
+the first `_invariants` call or handed down by whoever built the graph;
+and `Graph._canon`, the result of the single canonical search (`_search`)
+that the first call of `canonical_key`, `canonical_form` or
 `automorphisms` makes; every later call reads it, and `canonical_form`
-hands the canonical graph the same search, renamed.  The search builds
-each flag order depth-first and cuts a prefix only when every completion
-has a greater edge record than the best so far, so it finds the same
-least code and the same tied orderings, in the same order, as trying
-every flag order.
+hands the canonical graph the same search and invariants, renamed.  The
+search builds each flag order depth-first and cuts a prefix only when
+every completion has a greater edge record than the best so far, so it
+finds the same least code and the same tied orderings, in the same order,
+as trying every flag order.
 
 `enumerate_graphs` grows graphs edge by edge: an edge insertion, the
 inverse of `contract_edge`, takes each graph with k edges to those with
 k + 1, and `canonical_key()` removes the duplicates.  Stable graphs take
 the stable (genus or gamma, valence) pairs as vertex types, so no
 insertion builds an unstable vertex, and in a class closed under
-contraction a candidate is searched only when no edge has a greater
+contraction a candidate is built only when no edge has a greater
 isomorphism-invariant key than its new one (the last-edge test).
 """
 
@@ -45,7 +47,8 @@ class Graph:
     """Immutable abstract graph with optional decorations."""
 
     __slots__ = ("vertices", "flags", "involution", "boundary", "genus",
-                 "gamma", "orientation", "labels", "_canon", "_vflags")
+                 "gamma", "orientation", "labels", "_canon", "_vflags",
+                 "_vinv")
 
     def __init__(self, vertices, flags, involution, boundary, genus=None,
                  gamma=None, orientation=None, labels=None):
@@ -57,7 +60,7 @@ class Graph:
         self.gamma = dict(gamma) if gamma is not None else None
         self.orientation = dict(orientation) if orientation is not None else None
         self.labels = dict(labels) if labels else {}
-        self._canon = self._vflags = None
+        self._canon = self._vflags = self._vinv = None
         self._validate()
 
     def _validate(self):
@@ -475,19 +478,37 @@ def classify(g: Graph, kind: str) -> bool:
 
 
 def _vertex_invariant(g: Graph, v):
-    fl = g.vertex_flags(v)
-    tail_keys = sorted((g.orientation[f] if g.orientation else "",
-                        g.labels.get(f, "")) for f in fl if g.involution[f] == f)
-    orient_profile = sorted(g.orientation[f] for f in fl) if g.orientation else []
-    loops = sum(1 for f in fl if g.involution[f] != f
-                and g.boundary[g.involution[f]] == v) // 2
-    return (g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1,
-            len(fl), loops, tuple(tail_keys), tuple(orient_profile))
+    return _invariant(v, g.vertex_flags(v), g.g_of(v),
+                      g.gamma_of(v) if g.gamma is not None else -1,
+                      g.involution, g.boundary, g.orientation, g.labels)
+
+
+def _invariant(v, fl, genus, gamma, involution, boundary, orientation,
+               labels):
+    """The isomorphism invariant of a vertex v with flags fl, read from a
+    graph's parts, which need not make a `Graph` yet: its labels, valence,
+    loops and multisets of tail (orientation, label) and flag orientation."""
+    tail_keys = sorted((orientation[f] if orientation else "",
+                        labels.get(f, "")) for f in fl if involution[f] == f)
+    orient_profile = sorted(orientation[f] for f in fl) if orientation else []
+    loops = sum(1 for f in fl if involution[f] != f
+                and boundary[involution[f]] == v) // 2
+    return (genus, gamma, len(fl), loops, tuple(tail_keys),
+            tuple(orient_profile))
+
+
+def _invariants(g: Graph) -> dict:
+    """Each vertex's `_vertex_invariant`, cached on g."""
+    if g._vinv is None:
+        g._vinv = {v: _vertex_invariant(g, v) for v in g.vertices}
+    return g._vinv
 
 
 def _refined_classes(g: Graph):
     """Order-invariant vertex partition, refined by neighbor multisets."""
-    inv = {v: _vertex_invariant(g, v) for v in g.vertices}
+    inv = _invariants(g)
+    if len(set(inv.values())) == len(inv):  # nothing left to refine
+        return [[v] for v in sorted(inv, key=lambda v: repr(inv[v]))]
     around = {v: [g.boundary[g.involution[f]] for f in g.vertex_flags(v)
                   if g.involution[f] != f] for v in g.vertices}
     for _ in range(len(g.vertices)):
@@ -552,10 +573,10 @@ def _search(g: Graph):
         ties.extend((vorder, forder) for forder in forders)
     vorder, forder = ties[0]
     vpos = {v: i for i, v in enumerate(vorder)}
+    rank, orient = {"in": 0, "out": 1}, g.orientation or {}
     head = (tuple((g.g_of(v), g.gamma_of(v) if g.gamma is not None else -1)
                   for v in vorder),
-            tuple((vpos[g.boundary[f]],
-                   {"in": 0, "out": 1}.get((g.orientation or {}).get(f), 2),
+            tuple((vpos[g.boundary[f]], rank.get(orient.get(f), 2),
                    g.labels.get(f, "")) for f in forder))
     return vorder, forder, head + (best_erec,), ties, classes
 
@@ -639,7 +660,8 @@ def canonical_form(g: Graph):
     Returns (canonical graph, relabeling) where the relabeling maps the old
     vertex/flag identifiers to the new ones.  Isomorphic graphs (with equal
     tail labels) produce identical canonical graphs.  The canonical graph
-    inherits the search through the relabeling, so it is never searched.
+    inherits the search and the vertex invariants through the relabeling,
+    so it is never searched.
     """
     g.canonical_key()
     vorder, forder, code, ties, classes = g._canon
@@ -665,6 +687,7 @@ def canonical_form(g: Graph):
                     [([vmap[v] for v in tv], [fmap[f] for f in tf])
                      for tv, tf in ties],
                     [sorted(vmap[v] for v in cls) for cls in classes])
+    canon._vinv = {vmap[v]: k for v, k in g._vinv.items()}
     relabel = {"vertices": vmap, "flags": fmap}
     return canon, relabel
 
@@ -735,13 +758,16 @@ class _Insertions:
     take the stable pairs (2l - 2 + n > 0): an insertion then keeps every
     vertex stable and the graph connected, so only seeds are classified.
     A candidate whose new edge some edge's key exceeds (`_last`) is
-    dropped before its search, in every class.  No class is lost: for H
-    of the next level and x an edge of greatest key, H/x is in this level.
-    A level of a closed class holds every graph of the class whose needs
-    fit, and H/x is in the class; a level of any other class is not
-    filtered by the class at all.  Either way need(merged) <= 1 + need(a)
-    + need(b), and inserting x into H/x gives H.  The canonical keys decide
-    ties.  An output graph has max(1, tails + 2 edges) vertices at most.
+    dropped before it is built, in every class: an insertion at v changes
+    the invariants of v and the new vertex alone, so the keys come from the
+    parent's invariants and those two, and a candidate that is built is
+    handed them all.  No class is lost: for H of the next level and x an
+    edge of greatest key, H/x is in this level.  A level of a closed class
+    holds every graph of the class whose needs fit, and H/x is in the
+    class; a level of any other class is not filtered by the class at all.
+    Either way need(merged) <= 1 + need(a) + need(b), and inserting x into
+    H/x gives H.  The canonical keys decide ties.  An output graph has
+    max(1, tails + 2 edges) vertices at most.
     """
 
     def __init__(self, cls, signature, max_edges, vertex_types):
@@ -803,13 +829,16 @@ class _Insertions:
                 {v: g.vertex_flags(v) for v in g.vertices})
 
     def _graph(self, vertices, flags, involution, boundary, labels,
-               orientation, tail_labels) -> Graph:
-        """A graph whose vertex labels go to the tracked decoration."""
+               orientation, tail_labels, inv=None) -> Graph:
+        """A graph whose vertex labels go to the tracked decoration, and
+        whose vertex invariants are `inv` when given."""
         dec = {v: l for v, l in labels.items() if l}
-        return Graph(vertices, flags, involution, boundary,
-                     genus=dec if self.field == "genus" else None,
-                     gamma=dec if self.field == "gamma" else None,
-                     orientation=orientation, labels=tail_labels)
+        g = Graph(vertices, flags, involution, boundary,
+                  genus=dec if self.field == "genus" else None,
+                  gamma=dec if self.field == "gamma" else None,
+                  orientation=orientation, labels=tail_labels)
+        g._vinv = inv
+        return g
 
     def _seeds(self):
         """The edgeless graphs: a vertex per block of tails, and tailless
@@ -846,7 +875,9 @@ class _Insertions:
             labels, vflags = self._local(g)
             need = {v: self.need.get((labels[v], len(fl)), left + 1)
                     for v, fl in vflags.items()}
-            e, w = f"e{len(g.edges())}", f"v{len(g.vertices)}"
+            edges, ginv = g.edges(), _invariants(g)
+            e, w = f"e{len(edges)}", f"v{len(g.vertices)}"
+            new = (e + "a", e + "b")
             bare = set()  # flagless vertices of one label are interchangeable
             for v, fl in vflags.items():
                 lab, rest = labels[v], sum(need.values()) - need[v]
@@ -864,34 +895,49 @@ class _Insertions:
                          if rest + self.need.get((lw, r + 1), left + 1)
                          + self.need.get((lab - lw, len(fl) - r + 1), left + 1)
                          <= left]
+                others = {x: k for x, k in ginv.items() if x != v}
                 for u, moved, lv, lu in made:
                     boundary = {**g.boundary, **{f: u for f in moved},
-                                e + "a": v, e + "b": u}
-                    involution = {**g.involution, e + "a": e + "b",
-                                  e + "b": e + "a"}
+                                new[0]: v, new[1]: u}
+                    involution = {**g.involution, new[0]: new[1],
+                                  new[1]: new[0]}
+                    at = {x: [f for f in fl + new if boundary[f] == x]
+                          for x in (v, u)}
                     for end in ends:
-                        yield self._graph(
-                            g.vertices + (() if u == v else (u,)),
-                            g.flags + (e + "a", e + "b"), involution,
-                            boundary, {**labels, v: lv, u: lu},
-                            end and {**g.orientation, e + "a": end[0],
-                                     e + "b": end[1]}, g.labels), \
-                            (e + "a", e + "b")
+                        orientation = end and {**g.orientation,
+                                               new[0]: end[0], new[1]: end[1]}
+                        inv = {**others, **{x: _invariant(
+                            x, at[x], *self._decoration(l), involution,
+                            boundary, orientation, g.labels)
+                            for x, l in {v: lv, u: lu}.items()}}
+                        if self._last(inv, boundary, orientation, edges, new):
+                            yield self._graph(
+                                g.vertices + (() if u == v else (u,)),
+                                g.flags + new, involution, boundary,
+                                {**labels, v: lv, u: lu}, orientation,
+                                g.labels, inv), new
 
-    def _last(self, h: Graph, new) -> bool:
-        """Whether no edge of h has a greater key than `new`.  An edge's key
-        is its ends' `_vertex_invariant`s: (out end, in end) in a directed
-        class, sorted otherwise."""
-        inv = {v: _vertex_invariant(h, v) for v in h.vertices}
+    def _decoration(self, label):
+        """(genus, gamma) as `_vertex_invariant` reads them off a vertex of
+        `_graph` with this label."""
+        return (label if self.field == "genus" else 0,
+                label if self.field == "gamma" else -1)
+
+    def _last(self, inv, boundary, orientation, edges, new) -> bool:
+        """Whether no edge of a candidate has a greater key than `new`; the
+        candidate, not yet built, is given by its vertex invariants, its
+        boundary and orientation maps and its other `edges`.  An edge's key
+        is its ends' invariants: (out end, in end) in a directed class,
+        sorted otherwise."""
 
         def key(f, p):
-            a, b = inv[h.boundary[f]], inv[h.boundary[p]]
+            a, b = inv[boundary[f]], inv[boundary[p]]
             if self.directed:
-                return (a, b) if h.orientation[f] == "out" else (b, a)
+                return (a, b) if orientation[f] == "out" else (b, a)
             return (a, b) if a <= b else (b, a)
 
         top = key(*new)
-        return all(key(f, p) <= top for f, p in h.edges())
+        return all(key(f, p) <= top for f, p in edges)
 
     def run(self) -> list[Graph]:
         candidates, seen = ((h, None) for h in self._seeds()), {}
@@ -899,9 +945,8 @@ class _Insertions:
             level = {}  # canonical key -> canonical form
             for h, new in candidates:
                 # past the seeds, stable vertex types stand in for classify
-                if (self.closed and not (new and self.stable
-                                         or classify(h, self.cls))
-                        or new and not self._last(h, new)):
+                if self.closed and not (new and self.stable
+                                        or classify(h, self.cls)):
                     continue
                 if h.canonical_key() not in level:
                     level[h.canonical_key()] = canonical_form(h)[0]

@@ -1110,6 +1110,21 @@ def decoration_factors(dec: BE) -> tuple:
     return tuple(BE(i, d) for i, d in dec.ident[1])
 
 
+class _Automorphism(tuple):
+    """A graph automorphism (vmap, fmap) hashed by its images of the
+    graph's vertices and flags, worked out once, so that `GroupAction`
+    caches by it; it still equals the plain pair."""
+
+    def __new__(cls, graph, vmap, fmap):
+        self = super().__new__(cls, (vmap, fmap))
+        self._hash = hash((tuple(vmap[v] for v in graph.vertices),
+                           tuple(fmap[f] for f in graph.flags)))
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def decorate(src: StructureInstance, graph, flavor: str):
     """Tensor of components over the vertices, with the automorphism action.
 
@@ -1143,7 +1158,8 @@ def decorate(src: StructureInstance, graph, flavor: str):
         merge_into(acc, graph, [([vmap[v] for v in vorder], terms)], ONE)
         return GradedVector(acc)
 
-    return basis, GroupAction(G.automorphisms(graph), apply_basis), vorder
+    auts = [_Automorphism(graph, *phi) for phi in G.automorphisms(graph)]
+    return basis, GroupAction(auts, apply_basis), vorder
 
 
 # --------------------------------------------------------------------------

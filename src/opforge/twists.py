@@ -354,6 +354,9 @@ class Coboundary(TwistCocycle):
         word = [n for n, _ in outer]
         for w in per_vertex:
             word.extend(n for n, _ in w)
+        # the image is compared with the sorted word, and so is the word
+        order = sorted(word, key=repr)
+        sign = wedge_reorder_sign(word, order)
 
         def char(vmap, fmap):
             def move(name):
@@ -364,9 +367,7 @@ class Coboundary(TwistCocycle):
                     return (tag, vmap[x])
                 return name
 
-            image = [move(n) for n in word]
-            return wedge_reorder_sign(image, sorted(word, key=repr)) * \
-                wedge_reorder_sign(list(word), sorted(word, key=repr))
+            return wedge_reorder_sign([move(n) for n in word], order) * sign
 
         return LineData(degree, char)
 

@@ -5,13 +5,14 @@ vertices, every tail assignment, every genus or gamma distribution and
 every orientation, then filters by class and vertex types and keeps one
 canonical form per isomorphism class.  `brute_search` tries every flag
 order inside the refined runs, with no cut.  Both are exponential and meant
-for small graphs only.
+for small graphs only.  `last_edge` is the enumerator's last-edge test
+worked out on a built graph, every vertex invariant recomputed.
 """
 
 import itertools
 
 from opforge.graphs import (Graph, _flag_groups, _refined_classes,
-                            canonical_form, classify)
+                            _vertex_invariant, canonical_form, classify)
 
 CONNECTED = ("tree", "planar-tree", "rooted-tree", "planar-rooted-tree",
              "stable-graph", "directed-tree", "directed-connected-no-wheels",
@@ -163,3 +164,19 @@ def brute_search(g: Graph):
                 ties.append((vorder, forder))
     vorder, forder = ties[0]
     return vorder, forder, best_head + (best_erec,), ties
+
+
+def last_edge(h: Graph, new, directed: bool) -> bool:
+    """Whether no edge of h has a greater key than `new`.  An edge's key is
+    its ends' `_vertex_invariant`s: (out end, in end) when directed, sorted
+    otherwise."""
+    inv = {v: _vertex_invariant(h, v) for v in h.vertices}
+
+    def key(f, p):
+        a, b = inv[h.boundary[f]], inv[h.boundary[p]]
+        if directed:
+            return (a, b) if h.orientation[f] == "out" else (b, a)
+        return (a, b) if a <= b else (b, a)
+
+    top = key(*new)
+    return all(key(f, p) <= top for f, p in h.edges())

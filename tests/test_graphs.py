@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import brute_enumerate_graphs, brute_search
+from graph_oracle import brute_enumerate_graphs, brute_search, last_edge
 from opforge import graphs as G
 from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (GRAPH_CLASSES, Graph, additive_gamma,
@@ -779,7 +779,7 @@ def test_each_enumerated_class_is_searched_once(monkeypatch):
 def _every_candidate():
     """The last-edge test switched off: every insertion candidate is kept."""
     return mock.patch.object(G._Insertions, "_last",
-                             lambda self, h, new: True)
+                             lambda self, *candidate: True)
 
 
 def _same_with_every_candidate(cls, sig, max_edges, types=None):
@@ -827,12 +827,22 @@ def test_last_edge_test_on_larger_stable_windows_and_free_blocks():
         _same_with_every_candidate(cls, sig, free.max_edges, types)
 
 
+def test_the_switch_reaches_the_last_edge_test():
+    # a test that drops every candidate past the seeds loses classes, so a
+    # switch that did not reach it would compare a run with itself
+    with mock.patch.object(G._Insertions, "_last",
+                           lambda self, *candidate: False):
+        with pytest.raises(AssertionError):
+            _same_with_every_candidate(
+                "stable-graph", {"labels": ["1", "2"], "genus": 1}, 2)
+
+
 def test_last_edge_test_drops_candidates_before_their_search():
     seen = []
     last = G._Insertions._last
 
-    def counted(self, h, new):
-        seen.append(last(self, h, new))
+    def counted(self, *candidate):
+        seen.append(last(self, *candidate))
         return seen[-1]
 
     with mock.patch.object(G._Insertions, "_last", counted):
@@ -841,6 +851,83 @@ def test_last_edge_test_drops_candidates_before_their_search():
                                  4)
     assert len(found) == 163
     assert seen.count(False) > len(found)
+
+
+def _check_every_candidate(cls, sig, max_edges, types=None):
+    """Build every insertion candidate, dropped ones too, and check on the
+    built graph the vertex invariants it was handed and the last-edge
+    decision taken before it was built.  Returns the decisions."""
+    last, insertions = G._Insertions._last, G._Insertions._insertions
+    pending, decisions = [], []
+
+    def deciding(self, *candidate):
+        pending.append(last(self, *candidate))
+        return True
+
+    def checking(self, level, left):
+        for h, new in insertions(self, level, left):
+            assert h._vinv == {v: G._vertex_invariant(h, v)
+                               for v in h.vertices}
+            decisions.append(pending.pop())
+            assert decisions[-1] == last_edge(h, new, self.directed)
+            yield h, new
+
+    with mock.patch.object(G._Insertions, "_last", deciding), \
+            mock.patch.object(G._Insertions, "_insertions", checking):
+        enumerate_graphs(cls, sig, max_edges, types)
+    assert not pending
+    return decisions
+
+
+def test_handed_down_invariants_and_early_decisions_match_the_built_graph():
+    from opforge.transform import free_construct, trivial_modular_generator
+
+    free = free_construct(trivial_modular_generator([(0, 3), (1, 1)]),
+                          "modular", "K", 3)
+    cls, sig, types = free._graph_class((1, 2))
+    windows = [
+        ("stable-graph", {"labels": ["1", "2", "3", "4"], "genus": 1}, 4),
+        ("stable-graph", {"labels": [str(i + 1) for i in range(6)],
+                          "genus": 0}, 3),
+        ("directed-connected-wheeled",
+         {"in_labels": ["1"], "out_labels": ["o0"]}, 3),
+        ("nc-stable-graph", {"labels": ["1", "2"], "gamma": 2}, 3),
+        (cls, sig, free.max_edges, types)]
+    for window in windows:
+        assert set(_check_every_candidate(*window)) == {True, False}, window
+
+
+def test_each_candidate_is_built_to_be_searched_once_per_vertex_invariant():
+    # no machine dependence: a candidate is built only when it will be
+    # searched, and a vertex invariant is worked out once, on the one seed
+    graph, key, invariant = (G._Insertions._graph, Graph.canonical_key,
+                             G._vertex_invariant)
+    built, keyed, held, evaluated = [], set(), [], {}
+
+    def building(self, *args):
+        built.append(graph(self, *args))
+        return built[-1]
+
+    def keying(g):
+        keyed.add(id(g))
+        return key(g)
+
+    def evaluating(g, v):
+        held.append(g)  # keeps ids from being reused
+        evaluated[id(g), v] = evaluated.get((id(g), v), 0) + 1
+        return invariant(g, v)
+
+    with mock.patch.object(G._Insertions, "_graph", building), \
+            mock.patch.object(Graph, "canonical_key", keying), \
+            mock.patch.object(G, "_vertex_invariant", evaluating):
+        found = enumerate_graphs(
+            "stable-graph", {"labels": ["1", "2", "3", "4"], "genus": 1}, 4)
+    assert len(found) == 163
+    assert len(built) > len(found)
+    assert [id(h) in keyed for h in built] == [True] * len(built)
+    assert max(evaluated.values()) == 1
+    # only on the seed: every other graph is handed its invariants
+    assert len({g for g, _ in evaluated}) == 1
 
 
 def test_stable_windows_match_brute_force_at_three_edges():

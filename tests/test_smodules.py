@@ -407,6 +407,19 @@ def test_decorated_action_is_a_homomorphism(name, data):
         == act.apply_basis(_after(g, h), a)
 
 
+@pytest.mark.parametrize("name", DECORATED)
+def test_decorated_automorphisms_key_the_image_cache(name):
+    # each element hashes by its images, worked out once, and still equals
+    # its (vmap, fmap) pair; a pair of dicts is keyed by its repr instead
+    from opforge.graphs import automorphisms
+    _, graph, _, basis, act, _ = _decorated(name)
+    assert act.elements == automorphisms(graph)
+    assert len(set(act.elements)) == len(act.elements)
+    for g in act.elements:
+        act.apply_basis(g, basis[0])
+        assert (g, basis[0]) in act._cache
+
+
 # -- equivariance helper -------------------------------------------------------
 
 def test_block_insert_is_group_like():

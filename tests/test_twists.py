@@ -4,6 +4,7 @@ import pytest
 
 from opforge import graphs as G
 from opforge.errors import InputError
+from opforge.gradedlin import wedge_reorder_sign
 from opforge.twists import (COBOUNDARIES, Coboundary, CoboundaryData,
                             contract_blocks, parse_twist, standard_twist,
                             tower_consistent, verify_isomorphism)
@@ -112,6 +113,49 @@ def test_sigma_coboundary_tree_degree():
     two = G.graft(G.corolla("u", ["a", "b", "c"]), "c",
                   G.corolla("w", ["d", "e"]), "d")
     assert DSig.line(two).degree == 1 - 2
+
+
+def _rose_and_banana():
+    rose = G.Graph(["v"], [f"h{i}" for i in range(8)],
+                   {f"h{i}": f"h{i ^ 1}" for i in range(8)},
+                   {f"h{i}": "v" for i in range(8)})
+    # the banana's flags interleave at its vertices, so the sign of the
+    # word against its sorted copy is -1 for D[s] and D[st]
+    flags = [f"h{i}" for i in range(10)]
+    banana = G.Graph(["a", "b"], flags,
+                     {f: flags[i ^ 1] for i, f in enumerate(flags)},
+                     {f: "ba"[i % 2] for i, f in enumerate(flags)})
+    return rose, banana
+
+
+def _char_by_the_first_formula(cocycle, graph, vmap, fmap):
+    """A coboundary's character as first written: both signs worked out
+    again for each automorphism."""
+    outer, per_vertex = cocycle._words(graph)
+    word = [n for n, _ in outer] + [n for w in per_vertex for n, _ in w]
+
+    def move(name):
+        tag, x = name
+        if tag == "t" or tag == "f":
+            return (tag, fmap[x])
+        if tag == "z" and x != "*total*":
+            return (tag, vmap[x])
+        return name
+
+    image = [move(n) for n in word]
+    return wedge_reorder_sign(image, sorted(word, key=repr)) * \
+        wedge_reorder_sign(list(word), sorted(word, key=repr))
+
+
+@pytest.mark.parametrize("name", ["s", "st", "Sigma"])
+def test_coboundary_character_matches_the_first_formula(name):
+    cocycle = Coboundary(COBOUNDARIES[name]())
+    for graph in _rose_and_banana():
+        line = cocycle.line(graph)
+        auts = G.automorphisms(graph)
+        assert len(auts) in (384, 240)
+        assert [line.char(*a) for a in auts] == [
+            _char_by_the_first_formula(cocycle, graph, *a) for a in auts]
 
 
 def test_d_s_squared_trivial():
