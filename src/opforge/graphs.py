@@ -840,6 +840,12 @@ class _Insertions:
         g._vinv = inv
         return g
 
+    def _decoration(self, label):
+        """(genus, gamma) as `_vertex_invariant` reads them off a vertex of
+        `_graph` with this label."""
+        return (label if self.field == "genus" else 0,
+                label if self.field == "gamma" else -1)
+
     def _seeds(self):
         """The edgeless graphs: a vertex per block of tails, and tailless
         vertices.  The block kinds come first, pruned by their needs, and
@@ -916,12 +922,6 @@ class _Insertions:
                                 g.flags + new, involution, boundary,
                                 {**labels, v: lv, u: lu}, orientation,
                                 g.labels, inv), new
-
-    def _decoration(self, label):
-        """(genus, gamma) as `_vertex_invariant` reads them off a vertex of
-        `_graph` with this label."""
-        return (label if self.field == "genus" else 0,
-                label if self.field == "gamma" else -1)
 
     def _last(self, inv, boundary, orientation, edges, new) -> bool:
         """Whether no edge of a candidate has a greater key than `new`; the

@@ -354,7 +354,7 @@ class Coboundary(TwistCocycle):
         word = [n for n, _ in outer]
         for w in per_vertex:
             word.extend(n for n, _ in w)
-        # the image is compared with the sorted word, and so is the word
+        # the word's own sign does not depend on the automorphism
         order = sorted(word, key=repr)
         sign = wedge_reorder_sign(word, order)
 
