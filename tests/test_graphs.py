@@ -902,14 +902,14 @@ def test_each_candidate_is_built_to_be_searched_once_per_vertex_invariant():
     # searched, and a vertex invariant is worked out once, on the one seed
     graph, key, invariant = (G._Insertions._graph, Graph.canonical_key,
                              G._vertex_invariant)
-    built, keyed, held, evaluated = [], set(), [], {}
+    built, keyed, held, evaluated = [], {}, [], {}
 
     def building(self, *args):
         built.append(graph(self, *args))
         return built[-1]
 
     def keying(g):
-        keyed.add(id(g))
+        keyed[id(g)] = g  # keeps ids from being reused
         return key(g)
 
     def evaluating(g, v):
