@@ -480,22 +480,85 @@ def nc_extension(o: StructureInstance) -> StructureInstance:
     return NcTensorExtension(o)
 
 
-class NcTensorExtension(StructureInstance):
+class _BlockWords(StructureInstance):
+    """Words of blocks over a base instance.
+
+    A block is (component index, factor, labels): a basis element of that
+    component of the base, whose k-th position carries the label labels[k];
+    the blocks of a word partition the labels 0..n-1.  A block is stored on
+    its sorted labels, and `normalize` puts the blocks of a word in their
+    stored order.  `_words` is the only way a word becomes basis elements:
+    the actions, `_concat` and every gluing return through it.
+    """
+
+    base_flavor = ""
+
+    def __init__(self, base: StructureInstance):
+        if kind_flavor(base.kind) != self.base_flavor:
+            raise UnsupportedKind(base.kind)
+        self.base = base
+        super().__init__()
+
+    def normalize(self, blocks):
+        """(sign, the blocks in their stored order): here, as they come."""
+        return 1, blocks
+
+    def _words(self, words) -> GradedVector:
+        """The sum of c times each word of blocks, for (c, blocks) in words.
+
+        Each block is rewritten onto its sorted labels by the base action
+        (`row_move`), then `normalize` orders the blocks.
+        """
+        acc: dict = {}
+        for c, blocks in words:
+            moves = [row_move(idx, labels) for idx, _, labels in blocks]
+            for c2, factors in transport(self.base, [x for _, x, _ in blocks],
+                                         moves):
+                sign, norm = self.normalize(
+                    [(idx, x, tuple(sorted(labels)))
+                     for (idx, _, labels), x in zip(blocks, factors)])
+                be = self._be(norm)
+                acc[be] = acc.get(be, ZERO) + sign * c * c2
+        return GradedVector(acc)
+
+    def _relabeled(self, blocks, p) -> GradedVector:
+        """The word with label l renamed p[l]."""
+        return self._words([(1, [(idx, x, tuple(p[l] for l in labels))
+                                 for idx, x, labels in blocks])])
+
+    def _concat(self, a: BE, shift, b: BE, most) -> GradedVector:
+        """a's blocks, then b's with their labels moved up by shift; a word
+        of more than `most` blocks lies past the truncation."""
+        blocks = self._split(a) + [(idx, x, tuple(l + shift for l in labels))
+                                   for idx, x, labels in self._split(b)]
+        if len(blocks) > most:
+            raise TruncationExceeded("too many factors")
+        return self._words([(1, blocks)])
+
+    def _build_action(self, idx):
+        def apply_basis(p, a):
+            return self._relabeled(self._split(a), p)
+
+        return symmetric_action(self.arity(idx), apply_basis)
+
+
+class NcTensorExtension(_BlockWords):
     """Tensor-model nc extension of a connected modular-kind instance.
 
     Components are indexed by (gamma, n) with gamma the sum of the factors'
-    genus labels; basis elements are tuples of factors with disjoint ordered
-    position blocks, normalized so the block list is sorted (with the Koszul
-    sign of the sorting).
+    genus labels; basis elements are words of blocks (`_BlockWords`) whose
+    block list is sorted by representation, with the Koszul sign of the
+    sorting.  Every gluing, the box product and the action answer in this
+    basis, save a word with a block of no labels (a closed factor), which
+    the components do not list.
     """
 
+    base_flavor = "modular"
+
     def __init__(self, base: StructureInstance, max_factors: int = 2):
-        if kind_flavor(base.kind) != "modular":
-            raise UnsupportedKind(base.kind)
-        self.base = base
         self.max_factors = max_factors
         self.kind = "nc-k-modular" if kind_is_odd(base.kind) else "nc-modular"
-        super().__init__()
+        super().__init__(base)
 
     def _be(self, blocks):
         ident = ("ncb", tuple((idx, (b.ident, b.degree), labels)
@@ -533,34 +596,8 @@ class NcTensorExtension(StructureInstance):
                             out.append(be)
         return out
 
-    def _build_action(self, idx):
-        gamma, n = idx
-
-        def apply_basis(p, a):
-            blocks = [(bidx, b, tuple(p[l] for l in labels))
-                      for bidx, b, labels in self._split(a)]
-            moves = [row_move(bidx, labels) for bidx, _, labels in blocks]
-            out = GradedVector()
-            for c, factors in transport(self.base, [b for _, b, _ in blocks],
-                                        moves):
-                sign, norm = self.normalize(
-                    [(bidx, b2, tuple(sorted(labels)))
-                     for (bidx, _, labels), b2 in zip(blocks, factors)])
-                out = out + GradedVector.unit(self._be(norm), sign * c)
-            return out
-
-        return symmetric_action(n, apply_basis)
-
     def box_basis(self, ai, a, bi, b) -> GradedVector:
-        blocks_a = self._split(a)
-        blocks_b = self._split(b)
-        na = ai[1]
-        shifted_b = [(idx, x, tuple(l + na for l in labels))
-                     for idx, x, labels in blocks_b]
-        if len(blocks_a) + len(shifted_b) > self.max_factors:
-            raise TruncationExceeded("too many horizontal factors")
-        sign, norm = self.normalize(blocks_a + shifted_b)
-        return GradedVector.unit(self._be(norm), sign)
+        return self._concat(a, ai[1], b, self.max_factors)
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
         blocks = self._split(a)
@@ -612,22 +649,16 @@ class NcTensorExtension(StructureInstance):
 
     def _rebuild(self, blocks, bi, bj, glued: GradedVector, ridx, new_labels,
                  dress, relabel):
+        """The word of the untouched blocks and the glued one, whose
+        positions carry new_labels."""
         rest = [(ix, b, tuple(relabel[l] for l in ls))
                 for k, (ix, b, ls) in enumerate(blocks) if k not in (bi, bj)]
-        out = GradedVector()
-        for b2, c2 in glued.terms.items():
-            blocks2 = rest + [(ridx, b2, new_labels)]
-            sign, norm = self.normalize(blocks2)
-            out = out + GradedVector.unit(self._be(norm), sign * c2 * dress)
-        return out
+        return self._words([(c2 * dress, rest + [(ridx, b2, new_labels)])
+                            for b2, c2 in glued.terms.items()])
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
-        prod = self.box_basis(ai, a, bi, b)
-        out = GradedVector()
-        for be, c in prod.terms.items():
-            out = out + self.self_basis(self.box_index(ai, bi), be, s,
-                                        ai[1] + t).scale(c)
-        return out
+        return self.self_glue(self.box_index(ai, bi),
+                              self.box_basis(ai, a, bi, b), s, ai[1] + t)
 
     def component_of_basis(self, be):
         if not (isinstance(be.ident, tuple) and be.ident[0] == "ncb"):
@@ -1328,30 +1359,30 @@ def solve_master_series(carrier, d_fun, window, seed=0, seed_component=None):
 # the PROP generated by an operad, and the free nc-operad
 
 
-class _RowWords(StructureInstance):
+class _RowWords(_BlockWords):
     """Words of rows over an operad.
 
-    A row is an operad basis element together with an ordered block of
-    input labels, one label per input; the blocks of a word partition the
-    inputs.  A row is stored on its sorted labels: a row whose labels
-    arrive unsorted is rewritten by the base action (`row_move`).
+    A row is a block (`_BlockWords`) of an operad factor of arity k, with k
+    input labels; the rows of a word partition the inputs and keep their
+    order.  The identifier leaves out each row's component, its number of
+    labels.
     """
 
+    base_flavor = "operadic"
     row_tag = ""
-
-    def __init__(self, base: StructureInstance):
-        if kind_flavor(base.kind) != "operadic":
-            raise UnsupportedKind(base.kind)
-        self.base = base
-        super().__init__()
 
     def _be(self, rows):
         ident = (self.row_tag, tuple(((b.ident, b.degree), labels)
-                                     for b, labels in rows))
-        return BE(ident, sum(b.degree for b, _ in rows))
+                                     for _, b, labels in rows))
+        return BE(ident, sum(b.degree for _, b, _ in rows))
 
     def _split(self, a: BE):
-        return [(BE(i, d), labels) for (i, d), labels in a.ident[1]]
+        return [(len(labels), BE(i, d), labels)
+                for (i, d), labels in a.ident[1]]
+
+    def from_operad(self, n, b: BE) -> BE:
+        """The one-row word of an operad element of arity n."""
+        return self._be([(n, b, tuple(range(n)))])
 
     def _row_words(self, n, m):
         """The rows of every word of m rows on the inputs 0..n-1."""
@@ -1363,22 +1394,8 @@ class _RowWords(StructureInstance):
             for assign in _ordered_partitions_sized(list(range(n)), sizes):
                 for combo in itertools.product(
                         *[self.base.component(k) for k in sizes]):
-                    yield list(zip(combo, [tuple(p) for p in assign]))
-
-    def _sorted_rows(self, rows) -> GradedVector:
-        """The word of the rows, each rewritten onto its sorted labels."""
-        moves = [row_move(len(labels), labels) for _, labels in rows]
-        labels = [tuple(sorted(ls)) for _, ls in rows]
-        acc: dict = {}
-        for c, factors in transport(self.base, [x for x, _ in rows], moves):
-            be = self._be(list(zip(factors, labels)))
-            acc[be] = acc.get(be, ZERO) + c
-        return GradedVector(acc)
-
-    def _relabeled(self, rows, p) -> GradedVector:
-        """The word with input l renamed p[l]."""
-        return self._sorted_rows([(x, tuple(p[l] for l in ls))
-                                  for x, ls in rows])
+                    yield [(k, x, tuple(p))
+                           for k, x, p in zip(sizes, combo, assign)]
 
     def _insert(self, na, rows_a, i, rows_b, j) -> GradedVector:
         """Insert row j of b into input i (0-based) of a, which has na inputs.
@@ -1388,14 +1405,14 @@ class _RowWords(StructureInstance):
         follow a's rows.
         """
         p, slot = _locate(rows_a, i)
-        target, labels_t = rows_a[p]
-        src, labels_s = rows_b[j]
+        _, target, labels_t = rows_a[p]
+        _, src, labels_s = rows_b[j]
         glued = self.base.circ(len(labels_t), GradedVector.unit(target),
                                slot + 1, len(labels_s),
                                GradedVector.unit(src))
         # koszul: src moves past the factors after row p and b's rows before j
-        passed = sum(x.degree for x, _ in rows_a[p + 1:]) \
-            + sum(x.degree for x, _ in rows_b[:j])
+        passed = sum(x.degree for _, x, _ in rows_a[p + 1:]) \
+            + sum(x.degree for _, x, _ in rows_b[:j])
         sign = -1 if (src.degree % 2 and passed % 2) else 1
 
         def of_a(labels):
@@ -1404,17 +1421,15 @@ class _RowWords(StructureInstance):
         def of_b(labels):
             return tuple(na - 1 + l for l in labels)
 
-        out = GradedVector()
-        for gb, gc in glued.terms.items():
-            new_labels = (of_a(labels_t[:slot]) + of_b(labels_s)
-                          + of_a(labels_t[slot + 1:]))
-            new_rows = ([(x, of_a(ls)) for x, ls in rows_a[:p]]
-                        + [(gb, new_labels)]
-                        + [(x, of_a(ls)) for x, ls in rows_a[p + 1:]]
-                        + [(x, of_b(ls))
-                           for k, (x, ls) in enumerate(rows_b) if k != j])
-            out = out + self._sorted_rows(new_rows).scale(gc * sign)
-        return out
+        new_labels = (of_a(labels_t[:slot]) + of_b(labels_s)
+                      + of_a(labels_t[slot + 1:]))
+        head = [(k, x, of_a(ls)) for k, x, ls in rows_a[:p]]
+        tail = ([(k, x, of_a(ls)) for k, x, ls in rows_a[p + 1:]]
+                + [(k, x, of_b(ls))
+                   for m, (k, x, ls) in enumerate(rows_b) if m != j])
+        return self._words([(gc * sign,
+                             head + [(len(new_labels), gb, new_labels)] + tail)
+                            for gb, gc in glued.terms.items()])
 
 
 class PropFromOperad(_RowWords):
@@ -1446,7 +1461,7 @@ class PropFromOperad(_RowWords):
             p, q = g
             rows = self._split(a)
             # outputs move the rows with the Koszul sign, inputs act inside
-            sign = koszul_sign(q, [b.degree for b, _ in rows])
+            sign = koszul_sign(q, [b.degree for _, b, _ in rows])
             moved = [None] * m
             for i, row in enumerate(rows):
                 moved[q[i]] = row
@@ -1463,22 +1478,16 @@ class PropFromOperad(_RowWords):
         return self._insert(ai[0], self._split(a), i, self._split(b), j)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
-        na, ma = ai
-        nb, mb = bi
-        ridx = self.box_index(ai, bi)
-        if ridx[0] > self.max_in or ridx[1] > self.max_out:
-            raise TruncationExceeded(str(ridx))
-        rows_a = self._split(a)
-        rows_b = self._split(b)
-        shifted = [(x, tuple(l + na for l in ls)) for x, ls in rows_b]
-        return GradedVector.unit(self._be(rows_a + shifted))
+        if ai[0] + bi[0] > self.max_in:
+            raise TruncationExceeded(str(self.box_index(ai, bi)))
+        return self._concat(a, ai[0], b, self.max_out)
 
     def restrict_to_operad(self, n, a: BE):
         """(n, 1) components carry the original operad."""
         rows = self._split(a)
         if len(rows) != 1:
             raise KindMismatch("not an (n, 1) element")
-        return rows[0][0]
+        return rows[0][1]
 
 
 def _ordered_partitions_sized(items, sizes):
@@ -1494,11 +1503,6 @@ def _ordered_partitions_sized(items, sizes):
             yield [sorted(block)] + tail
 
 
-def prop_generated_by_operad(base: StructureInstance, max_in=4,
-                             max_out=3) -> PropFromOperad:
-    return PropFromOperad(base, max_in, max_out)
-
-
 class NcOperad(_RowWords):
     """Free nc-extension of an operad: words of up to FACTORS rows, with
     box = concatenation and insertion summed over the factor roots."""
@@ -1512,12 +1516,7 @@ class NcOperad(_RowWords):
         super().__init__(base)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
-        rows_a = self._split(a)
-        rows_b = self._split(b)
-        if len(rows_a) + len(rows_b) > self.FACTORS:
-            raise TruncationExceeded("too many factors")
-        shifted = [(x, tuple(l + ai for l in ls)) for x, ls in rows_b]
-        return GradedVector.unit(self._be(rows_a + shifted))
+        return self._concat(a, ai, b, self.FACTORS)
 
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
         """Insert b into slot i of a, summing over the roots of b's rows."""
@@ -1527,21 +1526,8 @@ class NcOperad(_RowWords):
             out = out + self._insert(ai, rows_a, i - 1, rows_b, j)
         return out
 
-    def from_operad(self, n, b: BE) -> BE:
-        return self._be([(b, tuple(range(n)))])
-
     def _build_component(self, n):
         if n > self.max_in:
             raise TruncationExceeded(str(n))
         return [self._be(rows) for m in range(1, self.FACTORS + 1)
                 for rows in self._row_words(n, m)]
-
-    def _build_action(self, n):
-        def apply_basis(p, a):
-            return self._relabeled(self._split(a), p)
-
-        return symmetric_action(n, apply_basis)
-
-
-def nc_operad(base: StructureInstance, **kw) -> NcOperad:
-    return NcOperad(base, **kw)

@@ -20,8 +20,8 @@ from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
 from opforge.smodules import (BilinearForm, CyclicEnd, EndOperad, ModularE,
                               TableInstance, TrivialCyclic, dump_instance,
                               operadic_suspension, tensor_structures)
-from opforge.transform import (NcTensorExtension, free_construct, free_operad,
-                               nc_extension, nc_operad,
+from opforge.transform import (NcOperad, NcTensorExtension, free_construct,
+                               free_operad, nc_extension,
                                trivial_modular_generator,
                                trivial_operadic_generator)
 
@@ -65,7 +65,7 @@ CASES = {
         lambda: tensor_structures(CyclicEnd(W, _symplectic(), 4),
                                   CyclicEnd([BE("x", 0)], _sym_form(), 4)),
         [2, 3]),
-    "nc-operad": (lambda: nc_operad(EndOperad([BE("x", 0)], 4), max_in=4),
+    "nc-operad": (lambda: NcOperad(EndOperad([BE("x", 0)], 4), max_in=4),
                   [3, 4]),
     "free-operad": (lambda: free_operad(trivial_operadic_generator([2]), 3),
                     [3, 4]),

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import gc
 import itertools
 import math
@@ -20,14 +22,13 @@ from opforge.gradedlin import (BE, GradedVector, GroupAction, Q, all_perms,
 from opforge.smodules import (BilinearForm, EndOperad, ModularE, check_axioms,
                               contract_word, rotation_order2)
 from opforge.transform import (DgInstance, FeynmanTransform,
-                               GeneratorInstance, MasterSeries,
-                               NcTensorExtension, build_master_carrier,
-                               certify_dg_algebra, closed_window,
-                               free_construct, free_operad,
+                               GeneratorInstance, MasterSeries, NcOperad,
+                               NcTensorExtension, PropFromOperad,
+                               build_master_carrier, certify_dg_algebra,
+                               closed_window, free_construct, free_operad,
                                invariant_degree_basis, master_lhs,
                                master_lhs_components, modular_e_differential,
-                               morphism_defects, nc_extension, nc_operad,
-                               prop_generated_by_operad, random_series,
+                               morphism_defects, nc_extension, random_series,
                                solve_master_series,
                                trivial_modular_generator,
                                trivial_operadic_generator)
@@ -398,9 +399,86 @@ def test_nc_tensor_extension_single_factor_is_base():
     assert len(one_block) == base_dim
 
 
+def _outside(NC, vectors):
+    """The terms of the vectors that are not basis elements of the
+    component their identifier names."""
+    basis = functools.cache(lambda idx: set(NC.component(idx)))
+    return [be for v in vectors for be in v.terms
+            if be not in basis(NC.component_of_basis(be))]
+
+
+def _closed(NC, be):
+    """Whether a word has a block without labels (a closed factor)."""
+    return any(not labels for _, _, labels in NC._split(be))
+
+
+def _gluings(NC, indices, pairs):
+    for idx in indices:
+        act = NC.action(idx)
+        for a in NC.component(idx):
+            for g in act.elements:
+                yield act.apply_basis(g, a)
+            for s, t in itertools.combinations(range(idx[1]), 2):
+                yield NC.self_basis(idx, a, s, t)
+    for ai, bi in pairs:
+        for a, b in itertools.product(NC.component(ai), NC.component(bi)):
+            with contextlib.suppress(TruncationExceeded):
+                yield NC.box_basis(ai, a, bi, b)
+            for s, t in itertools.product(range(ai[1]), range(bi[1])):
+                with contextlib.suppress(TruncationExceeded):
+                    yield NC.circ_st_basis(ai, a, s, bi, b, t)
+
+
+def test_nc_gluings_answer_in_their_own_basis(master_setup):
+    # every answer lies in the component its identifier names, and every
+    # basis element is a fixed point of the word kernel; on the odd line
+    # (every factor odd) and the odd plane of the pinned corpus, the plane
+    # gluing across components only at (0,3), (0,3).  The one exception is
+    # a word with a closed factor, the self-gluing of a two-label block
+    # next to another block: the basis has no such word
+    line = [BE("y", 1)]
+    plane = [BE("x", 0), BE("y", -1)]
+    indices = [(0, 3), (0, 4)]
+    for space, form, pairs, closed in (
+            (line, BilinearForm(line, {("y", "y"): 1}, degree=-2,
+                                symmetry="antisym"),
+             list(itertools.product(indices, repeat=2)), 9),
+            (plane, BilinearForm(plane, {("x", "y"): 1, ("y", "x"): 1},
+                                 degree=1, symmetry="sym"),
+             [((0, 3), (0, 3))], 60)):
+        # eight flags, so that the box answers at (0,7) and (0,8) have a
+        # component to lie in
+        NC = NcTensorExtension(ModularE(space, form, max_flags=8,
+                                        max_genus=3), 2)
+        outside = _outside(NC, _gluings(NC, indices, pairs))
+        assert all(_closed(NC, be) for be in outside)
+        assert len(outside) == closed
+        for idx in indices:
+            for be in NC.component(idx):
+                assert NC._words([(1, NC._split(be))]) == GradedVector.unit(be)
+    # Delta of the box square of a degree-0 series on (0,3)
+    carrier = master_setup[0]
+    NC = NcTensorExtension(carrier, max_factors=2)
+    Snc = _nc_embed(NC, random_series(carrier, [(0, 3)], 0).as_sum())
+    answer = delta(boxminus(Snc, Snc, NC), NC)
+    assert sum(len(NC._split(be)) == 1 for _, v in answer.items()
+               for be in v.terms) == 12
+    assert not _outside(NC, (v for _, v in answer.items()))
+    # the row words of the PROP and of the nc operad
+    for degree in (0, 1):
+        o = EndOperad([BE("x", degree)], max_arity=8)
+        for inst, row_indices in ((PropFromOperad(o, 4, 3),
+                                   [(2, 1), (2, 2), (3, 2)]),
+                                  (NcOperad(o), [1, 2, 3, 4])):
+            for idx in row_indices:
+                for be in inst.component(idx):
+                    assert inst._words([(1, inst._split(be))]) == \
+                        GradedVector.unit(be)
+
+
 def test_nc_operad_derivation_identities():
     o = EndOperad([BE("x", 0)], max_arity=8)
-    NC = nc_operad(o)
+    NC = NcOperad(o)
     x2 = o.component(2)[0]
     x1 = o.component(1)[0]
     a = NC.from_operad(2, x2)
@@ -435,7 +513,7 @@ def test_nc_operad_derivation_identities():
 
 def test_prop_from_operad_dimensions_match_induction_count():
     o = EndOperad([BE("x", 0)], max_arity=8)
-    P = prop_generated_by_operad(o, max_in=4, max_out=3)
+    P = PropFromOperad(o, max_in=4, max_out=3)
 
     def induced(n, m):
         total = 0
@@ -454,7 +532,7 @@ def test_prop_from_operad_dimensions_match_induction_count():
 
 def test_prop_from_operad_restricts_to_operad():
     o = EndOperad([BE("x", 0)], max_arity=8)
-    P = prop_generated_by_operad(o, max_in=5, max_out=2)
+    P = PropFromOperad(o, max_in=5, max_out=2)
     a = single((2, 1), P.component((2, 1))[0])
     dp = dioperadic_product(a, a, P)
     (idx, v), = dp.items()
@@ -466,14 +544,11 @@ def test_prop_from_operad_restricts_to_operad():
 
 def test_operadic_bracket_maps_to_dioperadic():
     o = EndOperad([BE("x", 0)], max_arity=8)
-    P = prop_generated_by_operad(o, max_in=5, max_out=2)
+    P = PropFromOperad(o, max_in=5, max_out=2)
 
     def incl(n, vec):
-        out = GradedVector()
-        for be, c in vec.terms.items():
-            out = out + GradedVector.unit(
-                P._be([(be, tuple(range(n)))]), c)
-        return out
+        return GradedVector({P.from_operad(n, be): c
+                             for be, c in vec.terms.items()})
 
     f2 = single(2, o.component(2)[0])
     f3 = single(3, o.component(3)[0])
@@ -1034,62 +1109,39 @@ def _nc_block_differential(NC, d_fun):
                     sign = -1 if sum(bb.degree for _, bb, _
                                      in blocks[:k]) % 2 else 1
                     img = d_fun(bidx, GradedVector.unit(b))
-                    for b2, c2 in img.terms.items():
-                        nb = blocks[:k] + [(bidx, b2, labels)] + blocks[k + 1:]
-                        s2, norm = NC.normalize(nb)
-                        if s2:
-                            yield idx, GradedVector.unit(
-                                NC._be(norm), c * c2 * sign * s2)
+                    yield idx, NC._words(
+                        [(c * c2 * sign,
+                          blocks[:k] + [(bidx, b2, labels)] + blocks[k + 1:])
+                         for b2, c2 in img.terms.items()])
 
     return lambda x: _summed(NC, terms(x))
 
 
-def _nc_embed(NC, S: MasterSeries) -> SumElement:
-    out = SumElement()
-    for idx, v in S.terms.items():
-        acc = GradedVector()
-        for be, c in v.terms.items():
-            acc = acc + GradedVector.unit(
-                NC._be([(idx, be, tuple(range(idx[1])))]), c)
-        out = out + SumElement.single(idx, acc)
-    return out
-
-
-def _one_block_part(NC, x: SumElement) -> dict:
-    """Single-block components unwrapped back to carrier vectors."""
-    out = {}
-    for idx, v in x.items():
-        acc = GradedVector()
-        for be, c in v.terms.items():
-            blocks = NC._split(be)
-            if len(blocks) != 1:
-                continue
-            bidx, b, labels = blocks[0]
-            p = tuple(labels.index(k) for k in range(len(labels)))
-            img = NC.base.act(bidx, p, GradedVector.unit(b))
-            acc = acc + img.scale(c)
-        if not acc.is_zero():
-            out[idx] = acc
-    return out
+def _nc_embed(NC, x: SumElement) -> SumElement:
+    """Each component of x as one-block words."""
+    return SumElement({idx: NC._words(
+        [(c, [(idx, be, tuple(range(idx[1])))]) for be, c in v.terms.items()])
+        for idx, v in x.items()})
 
 
 def test_exponential_identity_order_two(master_setup):
     # (d + Delta) e^S truncated at two box-powers reproduces the master
-    # left-hand side on single-block components
+    # left-hand side on single-block components, as NC coinvariant classes
     carrier, d_fun, _, _ = master_setup
     NC = NcTensorExtension(carrier, max_factors=2)
     d_nc = _nc_block_differential(NC, d_fun)
     for seed in (0, 3):
         S = random_series(carrier, [(0, 3), (0, 4)], seed)
-        Snc = _nc_embed(NC, S)
+        Snc = _nc_embed(NC, S.as_sum())
         e2 = Snc + boxminus(Snc, Snc, NC).scale(Q(1, 2))
         total = d_nc(e2) + delta(e2, NC)
-        got = _one_block_part(NC, total)
-        want = master_lhs(S, carrier, d_fun)
+        want = _nc_embed(NC, master_lhs(S, carrier, d_fun))
         for idx in [(0, 3), (0, 4), (1, 1), (1, 2)]:
-            g = carrier.average(idx, got.get(idx, GradedVector()))
-            w = carrier.average(idx, want.parts.get(idx, GradedVector()))
-            assert g == w, (seed, idx)
+            got = total.parts.get(idx, GradedVector())
+            got = GradedVector({be: c for be, c in got.terms.items()
+                                if len(NC._split(be)) == 1})
+            assert NC.coinvariant_class(idx, got) == NC.coinvariant_class(
+                idx, want.parts.get(idx, GradedVector())), (seed, idx)
 
 
 def test_closed_window():
