@@ -13,11 +13,12 @@ the first `_invariants` call or handed down by whoever built the graph;
 and `Graph._canon`, the result of the single canonical search (`_search`)
 that the first call of `canonical_key`, `canonical_form` or
 `automorphisms` makes; every later call reads it, and `canonical_form`
-hands the canonical graph the same search and invariants, renamed.  The
-search builds each flag order depth-first and cuts a prefix only when
-every completion has a greater edge record than the best so far, so it
-finds the same least code and the same tied orderings, in the same order,
-as trying every flag order.
+hands the canonical graph the same search and invariants, renamed.  Once
+a vertex order is fixed, the edge record splits into one block per run of
+interchangeable flags, each least on its own (the individualization idea
+of McKay and Piperno, "Practical graph isomorphism, II"), so the search
+writes each least record down and finds the same least code and tied
+orderings, in the same order, as trying every flag order.
 
 `enumerate_graphs` grows graphs edge by edge: an edge insertion, the
 inverse of `contract_edge`, takes each graph with k edges to those with
@@ -545,32 +546,42 @@ def _flag_groups(g: Graph, vorder):
 def _search(g: Graph):
     """The one search behind canonical forms and automorphisms.
 
-    Tries every vertex order that respects the refined classes and, for
-    each, the flag orders that permute only inside the `_flag_groups`
-    runs.  An ordering's code is (vertex record, flag record, edge record).
-    The first two, the head, are the same for every such ordering:
-    `_refined_classes` gives each vertex of a class the same genus, gamma,
-    valence and multisets of tail (orientation, label) and flag
-    orientations, and a run holds flags of one vertex, orientation and
-    label.  So only the edge records are compared, and the head is built
-    once, from the best ordering.  The flag orders of one vertex order are
-    built depth-first (`_least_flag_orders`), which cuts a prefix only
-    when every completion has an edge record greater than the best so far.
-    Returns (vorder, forder, code, ties, classes): the first ordering with
-    the least code, every ordering whose code equals it, that one
-    included, in the order of `itertools.product` over the classes' and
-    runs' permutations, and the refined classes.
+    Its orderings are the vertex orders that respect the refined classes
+    and, for each, the flag orders that permute only inside the
+    `_flag_groups` runs.  An ordering's code is (vertex record, flag
+    record, edge record).  The first two, the head, are the same for every
+    such ordering: `_refined_classes` gives each vertex of a class the
+    same genus, gamma, valence and multisets of tail (orientation, label)
+    and flag orientations, and a run holds flags of one vertex,
+    orientation and label.  So only the edge records are compared, and the
+    head is built once, from the best ordering.  A vertex order's least
+    edge record (`_least_record`) is found once per order of the classes
+    with flags, since a flagless class's order does not change it, and
+    flag orders are built for the least vertex orders alone
+    (`_least_flag_orders`).  Returns (vorder, forder, code, ties,
+    classes): the first ordering with the least code, every ordering whose
+    code equals it, in the order of `itertools.product` over the classes'
+    and runs' permutations, and the refined classes.
     """
-    best_erec = None
-    ties = []
-    classes = _refined_classes(g)
+    classes, partner = _refined_classes(g), g.involution
+    flagged = [i for i, cls in enumerate(classes) if g.vertex_flags(cls[0])]
+    best_erec, least, found = None, [], {}
     for vchoice in itertools.product(*map(itertools.permutations, classes)):
         vorder = [v for cls in vchoice for v in cls]
-        erec, forders = _least_flag_orders(_flag_groups(g, vorder),
-                                           g.involution, best_erec)
-        if erec != best_erec:
-            best_erec, ties = erec, []
-        ties.extend((vorder, forder) for forder in forders)
+        key = tuple(vchoice[i] for i in flagged)
+        if key not in found:
+            groups = _flag_groups(g, vorder)
+            starts = _run_starts(groups, partner)
+            found[key] = _least_record(groups, starts, partner), groups, starts
+        erec = found[key][0]
+        if best_erec is None or erec < best_erec:
+            best_erec, least = erec, []
+        if erec == best_erec:
+            least.append((vorder, key))
+    forders = {key: _least_flag_orders(*found[key][1:], partner)
+               for key in dict.fromkeys(key for _, key in least)}
+    ties = [(vorder, forder) for vorder, key in least
+            for forder in forders[key]]
     vorder, forder = ties[0]
     vpos = {v: i for i, v in enumerate(vorder)}
     rank, orient = {"in": 0, "out": 1}, g.orientation or {}
@@ -581,77 +592,65 @@ def _search(g: Graph):
     return vorder, forder, head + (best_erec,), ties, classes
 
 
-def _least_flag_orders(runs, partner, bound):
-    """The flag orders that permute only inside `runs` whose edge record is
-    least and at most `bound` (no bound when None): (that record, those
-    orders in the order of `itertools.product` over the runs'
-    permutations), or (bound, []) when none reaches the bound.
-
-    An order's edge record lists an (i, j) per edge, i < j the positions
-    of its flags, sorted by i.  The orders are built depth-first, filling
-    positions 0, 1, 2, ... from their run in run order.  The placed prefix
-    fixes the first entries of every completion's record, except that an
-    entry's j stays open until its second flag is placed, at or after the
-    start of that flag's run.  A prefix is cut only when every completion
-    is greater than the best record so far (`_exceeds`), so each order
-    whose record is at most the best is still visited.
-    """
-    slots = [run for run in runs for _ in run]
-    low, s = {}, 0  # low[f]: the first position of the run of f's partner
+def _run_starts(runs, partner):
+    """Each run's (s, t): the first position of the run and of the run
+    that holds its flags' partners; t = s for tails and undirected loops."""
+    start, s = {}, 0
     for run in runs:
-        low.update((partner[f], s) for f in run)
+        start.update(dict.fromkeys(run, s))
         s += len(run)
-    best = [bound, []]
-    _extend(slots, partner, low, [], [], {}, best)
-    return best[0], best[1]
+    return [(start[run[0]], start[partner[run[0]]]) for run in runs]
 
 
-def _extend(slots, partner, low, forder, rec, opened, best):
-    """Try every flag at position len(forder) and complete each placement
-    that `_exceeds` does not cut; a complete order updates `best`, the
-    pair [least record, its orders].  `rec` is the prefix's record, entries
-    [i, j or None, least j]; `opened` maps a flag to the entry it opened."""
-    d = len(forder)
-    if d == len(slots):
-        erec = tuple((i, j) for i, j, _ in rec)
-        if best[0] is None or erec < best[0]:
-            best[0], best[1] = erec, []
-        best[1].append(list(forder))
-        return
-    for f in slots[d]:
-        if f in forder:
+def _least_record(runs, starts, partner):
+    """The least edge record of the flag orders that permute only inside
+    `runs`, which start at `starts`.  A record lists an (i, j) per edge,
+    i < j the positions of its flags, sorted by i.  A run's flags partner
+    those of one run, so the record splits into blocks of fixed length,
+    one per run, each set by that run's order and its partners' alone:
+    each block is least on its own.  A run of m flags at s whose partners
+    start later, at t, gives (s + k, t + k) for k < m; a run of undirected
+    loops gives (s + 2k, s + 2k + 1); the other runs give nothing."""
+    record = []
+    for run, (s, t) in zip(runs, starts):
+        if s < t:
+            record += zip(range(s, s + len(run)), range(t, t + len(run)))
+        elif s == t and partner[run[0]] != run[0]:
+            record += zip(range(s, s + len(run), 2),
+                          range(s + 1, s + len(run), 2))
+    return tuple(record)
+
+
+def _least_flag_orders(runs, starts, partner):
+    """The flag orders with the `_least_record`, in `itertools.product`
+    order over the runs' permutations: a tail run or one that opens edges
+    takes every order, one that closes edges follows its partners, and a
+    run of undirected loops puts each loop's flags side by side."""
+    choices, plan, opener = [], [], {}
+    for run, (s, t) in zip(runs, starts):
+        if t < s:  # the flags of its opener's pick, mapped to partners
+            plan.append((opener[s], True))
             continue
-        p = partner[f]
-        closes = p in forder
-        if closes:
-            opened[p][1] = d
-        elif p != f:
-            opened[f] = [d, None, low[f]]
-            rec.append(opened[f])
-        forder.append(f)
-        if not _exceeds(rec, best[0], d + 1):
-            _extend(slots, partner, low, forder, rec, opened, best)
-        forder.pop()
-        if closes:
-            opened[p][1] = None
-        elif p != f:
-            rec.pop()
+        if s < t:
+            opener[t] = len(choices)
+        plan.append((len(choices), False))
+        choices.append(itertools.permutations(run)
+                       if s < t or partner[run[0]] == run[0]
+                       else _paired_orders(run, partner))
+    return [[partner[f] if mapped else f
+             for k, mapped in plan for f in pick[k]]
+            for pick in itertools.product(*choices)]
 
 
-def _exceeds(rec, best, placed):
-    """Whether every completion of the record prefix `rec`, with positions
-    below `placed` filled, has an edge record greater than `best`."""
-    if best is None:
-        return False
-    for (i, j, least), (bi, bj) in zip(rec, best):
-        if i != bi:
-            return i > bi
-        if j is None:
-            return max(least, placed) > bj
-        if j != bj:
-            return j > bj
-    # the next entry of a completion starts at a free position
-    return len(rec) < len(best) and best[len(rec)][0] < placed
+def _paired_orders(run, partner):
+    """The orders of a run of k undirected loops that put each loop's
+    flags side by side, 2^k k! of them, in `itertools.permutations` order."""
+    if not run:
+        yield ()
+    for f in run:
+        rest = [x for x in run if x != f and x != partner[f]]
+        for more in _paired_orders(rest, partner):
+            yield (f, partner[f]) + more
 
 
 def canonical_form(g: Graph):
