@@ -9,6 +9,7 @@ report is an exact fraction rendered as "p/q".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -398,7 +399,9 @@ def cmd_master(args) -> int:
     return PASS if report["status"] == "ok" else FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `forge` parser, built once per process; parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="forge",
         description="exact verifier for operad-like structures")

@@ -310,20 +310,13 @@ def disjoint_union_with_maps(g1: Graph, g2: Graph):
 
 
 def graft_with_maps(g1: Graph, s, g2: Graph, t):
+    """`graft`, and the maps of `disjoint_union_with_maps`."""
     if g1.involution.get(s) != s:
         raise NotATail(f"{s!r} is not a tail of the first graph")
     if g2.involution.get(t) != t:
         raise NotATail(f"{t!r} is not a tail of the second graph")
     union, vmap2, fmap2 = disjoint_union_with_maps(g1, g2)
-    t2 = fmap2[t]
-    involution = dict(union.involution)
-    involution[s] = t2
-    involution[t2] = s
-    labels = {f: l for f, l in union.labels.items() if f not in (s, t2)}
-    out = Graph(union.vertices, union.flags, involution, union.boundary,
-                genus=union.genus, gamma=union.gamma,
-                orientation=union.orientation, labels=labels)
-    return out, vmap2, fmap2
+    return self_glue(union, s, fmap2[t]), vmap2, fmap2
 
 
 def graft(g1: Graph, s, g2: Graph, t) -> Graph:
@@ -343,6 +336,18 @@ def self_glue(g: Graph, s, t) -> Graph:
                  gamma=g.gamma, orientation=g.orientation, labels=labels)
 
 
+def _label_sum(labels, keep, drop, extra=0):
+    """A copy of a vertex-label dict (genus or gamma) with drop's label and
+    `extra` added onto keep's; a zero sum leaves no entry."""
+    if labels is None:
+        return None
+    out = dict(labels)
+    total = out.pop(keep, 0) + out.pop(drop, 0) + extra
+    if total:
+        out[keep] = total
+    return out
+
+
 def contract_edge(g: Graph, e) -> Graph:
     """Contract one edge; merging vertices adds genus, a loop adds one."""
     f1, f2 = tuple(e)
@@ -351,31 +356,19 @@ def contract_edge(g: Graph, e) -> Graph:
     v1, v2 = g.boundary[f1], g.boundary[f2]
     flags = [f for f in g.flags if f not in (f1, f2)]
     involution = {f: p for f, p in g.involution.items() if f in flags}
-    genus = dict(g.genus)
-    gamma = dict(g.gamma) if g.gamma is not None else None
-    if v1 == v2:
-        vertices = list(g.vertices)
-        boundary = {f: g.boundary[f] for f in flags}
-        genus[v1] = genus.get(v1, 0) + 1
-        if gamma is not None:
-            gamma[v1] = gamma.get(v1, 0) + 1
-    else:
-        keep, drop = sorted((v1, v2))
-        vertices = [v for v in g.vertices if v != drop]
-        boundary = {f: (keep if g.boundary[f] == drop else g.boundary[f])
-                    for f in flags}
-        gsum = genus.pop(keep, 0) + genus.pop(drop, 0)
-        if gsum:
-            genus[keep] = gsum
-        if gamma is not None:
-            gam = gamma.pop(keep, 0) + gamma.pop(drop, 0)
-            if gam:
-                gamma[keep] = gam
+    # a loop keeps its vertex (keep == drop) and adds one to its labels
+    keep, drop = sorted((v1, v2))
+    loop = int(v1 == v2)
+    vertices = [v for v in g.vertices if v != drop or loop]
+    boundary = {f: (keep if g.boundary[f] == drop else g.boundary[f])
+                for f in flags}
     orientation = None
     if g.orientation is not None:
         orientation = {f: g.orientation[f] for f in flags}
-    return Graph(vertices, flags, involution, boundary, genus=genus,
-                 gamma=gamma, orientation=orientation,
+    return Graph(vertices, flags, involution, boundary,
+                 genus=_label_sum(g.genus, keep, drop, loop),
+                 gamma=_label_sum(g.gamma, keep, drop, loop),
+                 orientation=orientation,
                  labels={f: l for f, l in g.labels.items() if f in set(flags)})
 
 
@@ -389,18 +382,10 @@ def merge_vertices(g1: Graph, v, g2: Graph, v2) -> Graph:
     w = vmap2[v2]
     vertices = [u for u in union.vertices if u != w]
     boundary = {f: (v if u == w else u) for f, u in union.boundary.items()}
-    genus = dict(union.genus)
-    gsum = genus.pop(v, 0) + genus.pop(w, 0)
-    if gsum:
-        genus[v] = gsum
-    gamma = dict(union.gamma) if union.gamma is not None else None
-    if gamma is not None:
-        gm = gamma.pop(v, 0) + gamma.pop(w, 0)
-        if gm:
-            gamma[v] = gm
     return Graph(vertices, union.flags, union.involution, boundary,
-                 genus=genus, gamma=gamma, orientation=union.orientation,
-                 labels=union.labels)
+                 genus=_label_sum(union.genus, v, w),
+                 gamma=_label_sum(union.gamma, v, w),
+                 orientation=union.orientation, labels=union.labels)
 
 
 def total_genus(g: Graph) -> int:

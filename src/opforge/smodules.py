@@ -11,9 +11,11 @@ Concrete instances: endomorphism operads End(V), cyclic/anti-cyclic End(V)
 with a nondegenerate form, the endomorphism PROP, the modular endomorphism
 instance E(V) with form-contraction gluings, suspensions and shifts of all
 of these, and tensor products.  A sign-twisted instance (`Transported`) wraps
-the even tables and multiplies each composition by a transport sign; those
-signs are formulas written out by hand (`operadic_suspension`'s circ sign,
-`_u_word_transport`), not derived from the twist line data.
+the even tables and multiplies each composition by a transport sign, taken
+from one `signs` dict keyed by operation ("circ", "circ_st", "self", "box");
+an operation with no sign raises `KindMismatch`.  The signs are formulas
+written out by hand (`operadic_suspension`'s circ sign, `_u_word_transport`),
+not derived from the twist line data.
 """
 
 from __future__ import annotations
@@ -125,7 +127,6 @@ class StructureInstance:
     """
 
     kind: str = ""
-    twist_tag: str = "1"
     unit = None  # (index, GradedVector) or None
 
     def __init__(self):
@@ -319,10 +320,7 @@ class EndOperad(StructureInstance):
         self.space = list(space)
         self.max_arity = max_arity
         super().__init__()
-        uvec = GradedVector()
-        for x in self.space:
-            uvec = uvec + GradedVector.unit(self._be(x, (x,)))
-        self.unit = (1, uvec)
+        self.unit = (1, GradedVector({self._be(x, (x,)): 1 for x in self.space}))
 
     def _be(self, out: BE, ins: Sequence[BE]) -> BE:
         deg = out.degree - sum(f.degree for f in ins)
@@ -516,15 +514,12 @@ class ModularE(StructureInstance):
         return symmetric_action(n, apply_basis)
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
-        gi, n = ai
-        gj, m = bi
+        n, m = ai[1], bi[1]
         ridx = self.circ_st_index(ai, bi)
         if ridx[1] > self.max_flags or ridx[0] > self.max_genus:
             raise TruncationExceeded("gluing leaves the component bounds")
-        wa, wb = self._split(a), self._split(b)
-        word = wa + wb
-        rest = ([(s + 1 + k) % n for k in range(n - 1)]
-                + [n + (t + 1 + k) % m for k in range(m - 1)])
+        word = self._split(a) + self._split(b)
+        rest = rotation_order(n, s) + [n + p for p in rotation_order(m, t)]
         out = GradedVector()
         for c, w in contract_word(word, s, n + t,
                                   lambda x, y: self.form.value(x, y), rest):
@@ -562,10 +557,8 @@ class EndProp(StructureInstance):
         if wheeled:
             self.kind = "wheeled-prop"
         super().__init__()
-        uvec = GradedVector()
-        for x in self.space:
-            uvec = uvec + GradedVector.unit(self._be((x,), (x,)))
-        self.unit = ((1, 1), uvec)
+        self.unit = ((1, 1),
+                     GradedVector({self._be((x,), (x,)): 1 for x in self.space}))
 
     def _be(self, ins: Sequence[BE], outs: Sequence[BE]) -> BE:
         deg = sum(f.degree for f in outs) - sum(f.degree for f in ins)
@@ -683,18 +676,12 @@ class Transported(StructureInstance):
     """
 
     def __init__(self, base: StructureInstance, kind: str,
-                 marker_degree, marker_char, circ_sign=None,
-                 circ_st_sign=None, self_sign=None, box_sign=None,
-                 tag: str = "1"):
+                 marker_degree, marker_char, signs: dict):
         self.base = base
         self.kind = kind
-        self.twist_tag = tag
         self._mdeg = marker_degree
         self._mchar = marker_char
-        self._circ_sign = circ_sign
-        self._circ_st_sign = circ_st_sign
-        self._self_sign = self_sign
-        self._box_sign = box_sign
+        self._signs = signs
         super().__init__()
         if base.unit is not None:
             ui, uv = base.unit
@@ -722,37 +709,30 @@ class Transported(StructureInstance):
         return GroupAction(bact.elements, apply_basis,
                            generators=bact.generators)
 
+    def _glued(self, op: str, idxs, *args) -> GradedVector:
+        """The base gluing `op` of unwrapped elements, wrapped in the
+        result component of the indices `idxs` and scaled by op's sign."""
+        sign = self._signs.get(op)
+        if sign is None:  # the base class raises KindMismatch
+            return getattr(StructureInstance, f"{op}_basis")(self, *args)
+        inner = getattr(self.base, f"{op}_basis")(*args)
+        ridx = getattr(self, f"{op}_index")(*idxs)
+        return self._wrap_vec(ridx, inner).scale(sign(*args))
+
     def circ_basis(self, ai, a, i, bi, b) -> GradedVector:
-        if self._circ_sign is None:
-            raise KindMismatch(f"{self.kind} has no circ_i")
-        x, y = self._unwrap(ai, a), self._unwrap(bi, b)
-        sign = self._circ_sign(ai, x, i, bi, y)
-        inner = self.base.circ_basis(ai, x, i, bi, y)
-        return self._wrap_vec(self.circ_index(ai, bi), inner).scale(sign)
+        return self._glued("circ", (ai, bi), ai, self._unwrap(ai, a), i,
+                           bi, self._unwrap(bi, b))
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
-        if self._circ_st_sign is None:
-            raise KindMismatch(f"{self.kind} has no circ_st")
-        x, y = self._unwrap(ai, a), self._unwrap(bi, b)
-        sign = self._circ_st_sign(ai, x, s, bi, y, t)
-        inner = self.base.circ_st_basis(ai, x, s, bi, y, t)
-        return self._wrap_vec(self.circ_st_index(ai, bi), inner).scale(sign)
+        return self._glued("circ_st", (ai, bi), ai, self._unwrap(ai, a), s,
+                           bi, self._unwrap(bi, b), t)
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
-        if self._self_sign is None:
-            raise KindMismatch(f"{self.kind} has no self-gluing")
-        x = self._unwrap(ai, a)
-        sign = self._self_sign(ai, x, s, t)
-        inner = self.base.self_basis(ai, x, s, t)
-        return self._wrap_vec(self.self_index(ai), inner).scale(sign)
+        return self._glued("self", (ai,), ai, self._unwrap(ai, a), s, t)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
-        if self._box_sign is None:
-            raise KindMismatch(f"{self.kind} has no horizontal composition")
-        x, y = self._unwrap(ai, a), self._unwrap(bi, b)
-        sign = self._box_sign(ai, x, bi, y)
-        inner = self.base.box_basis(ai, x, bi, y)
-        return self._wrap_vec(self.box_index(ai, bi), inner).scale(sign)
+        return self._glued("box", (ai, bi), ai, self._unwrap(ai, a),
+                           bi, self._unwrap(bi, b))
 
 
 def operadic_suspension(o: StructureInstance) -> StructureInstance:
@@ -780,8 +760,7 @@ def operadic_suspension(o: StructureInstance) -> StructureInstance:
             e = (i - 1) * (bi - 1) + (bi - 1) * (x.degree % 2)
             return -1 if e % 2 else 1
 
-        return Transported(o, kind, mdeg, mchar, circ_sign=circ_sign,
-                           tag="D[s]")
+        return Transported(o, kind, mdeg, mchar, {"circ": circ_sign})
     if fl == "bimodule":
         if o.kind not in ("prop", "wheeled-prop", "dioperad", "properad"):
             raise UnsupportedKind(o.kind)
@@ -834,7 +813,7 @@ def _u_word_transport(side: str):
             e = bi[0] * (x.degree % 2)
         return -1 if e % 2 else 1
 
-    return circ_st_sign, self_sign, box_sign
+    return {"circ_st": circ_st_sign, "self": self_sign, "box": box_sign}
 
 
 def naive_shift(o: StructureInstance, direction: str = "sigma") -> StructureInstance:
@@ -859,18 +838,16 @@ def naive_shift(o: StructureInstance, direction: str = "sigma") -> StructureInst
         def plain(ai, x, i, bi, y):
             return 1
 
-        return Transported(o, kind, mdeg, mchar, circ_sign=plain,
-                           tag="D[Sigma]" if shift == 1 else "inv(D[Sigma])")
+        return Transported(o, kind, mdeg, mchar, {"circ": plain})
     if fl == "bimodule" and direction in ("out", "out-inv", "in", "in-inv"):
         side = "out" if direction.startswith("out") else "in"
-        inverse = direction.endswith("-inv")
         toggles = {"prop": "odd-prop", "odd-prop": "prop",
                    "dioperad": "odd-dioperad", "odd-dioperad": "dioperad",
                    "wheeled-prop": "odd-wheeled-prop",
                    "odd-wheeled-prop": "wheeled-prop",
                    "properad": "odd-dioperad"}
         kind = toggles.get(o.kind, o.kind)
-        sgn = -1 if inverse else 1
+        sgn = -1 if direction.endswith("-inv") else 1
 
         def mdeg(idx):
             n, m = idx
@@ -880,11 +857,7 @@ def naive_shift(o: StructureInstance, direction: str = "sigma") -> StructureInst
             p, q = g
             return perm_sign(q if side == "out" else p)
 
-        circ_st_sign, self_sign, box_sign = _u_word_transport(side)
-        return Transported(o, kind, mdeg, mchar,
-                           circ_st_sign=circ_st_sign, self_sign=self_sign,
-                           box_sign=box_sign,
-                           tag=f"D[s_{side}]" + ("^-1" if inverse else ""))
+        return Transported(o, kind, mdeg, mchar, _u_word_transport(side))
     raise UnsupportedKind(f"{o.kind} does not support shift {direction!r}")
 
 
@@ -893,7 +866,7 @@ def naive_shift(o: StructureInstance, direction: str = "sigma") -> StructureInst
 
 
 class TensorInstance(StructureInstance):
-    """Componentwise tensor with the diagonal action; twist tags multiply."""
+    """Componentwise tensor with the diagonal action."""
 
     def __init__(self, o1: StructureInstance, o2: StructureInstance):
         if kind_flavor(o1.kind) != kind_flavor(o2.kind):
@@ -1211,8 +1184,11 @@ def block_insert(sigma: Perm, i: int, tau: Perm) -> Perm:
 
 def check_axioms(o: StructureInstance, max_arity: int = 3) -> Report:
     """Exhaustive verification of the kind's defining identities on basis
-    elements up to the arity bound.  Stops at the first counterexample."""
+    elements up to the arity bound.  Stops at the first counterexample.
+    Flavors other than operadic, cyclic and modular raise `UnsupportedKind`."""
     fl = kind_flavor(o.kind)
+    if fl not in ("operadic", "cyclic", "modular"):
+        raise UnsupportedKind(f"no axiom check for the {o.kind} kind")
     odd = kind_is_odd(o.kind)
     checked = 0
 

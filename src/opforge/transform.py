@@ -804,31 +804,21 @@ def dual_generator_instance(o: StructureInstance, window) -> GeneratorInstance:
 
 
 def _dual_action(o, idx, basis):
-    act = o.action(idx)
-
     def apply_basis(g, phi: BE):
-        primal = phi.ident[1]
-        # (g phi)(x) = phi(g^{-1} x); with permutation groups the inverse of
-        # g is found by searching the element list once
-        ginv = _group_inverse(o, idx, g)
-        out = GradedVector()
+        # (g phi)(x) = phi(g^{-1} x).  The source's action is looked up on o
+        # here: it is built over a weak proxy of o, so this closure must
+        # hold o itself to keep the source alive
+        act = o.action(idx)
+        primal, ginv = phi.ident[1], invert(g)
+        acc: dict = {}
         for b in basis:
-            img = act.apply_basis(ginv, b)
-            for b2, c in img.terms.items():
+            for b2, c in act.apply_basis(ginv, b).terms.items():
                 if b2.ident == primal:
-                    out = out + GradedVector.unit(BE(("dl", b.ident),
-                                                     -b.degree), c)
-        return out
+                    dual = BE(("dl", b.ident), -b.degree)
+                    acc[dual] = acc.get(dual, ZERO) + c
+        return GradedVector(acc)
 
-    return GroupAction(act.elements, apply_basis)
-
-
-def _group_inverse(o, idx, g):
-    if isinstance(g, tuple) and all(isinstance(x, int) for x in g):
-        return invert(g)
-    if isinstance(g, tuple) and len(g) == 2:
-        return (invert(g[0]), invert(g[1]))
-    raise KindMismatch("cannot invert group element")
+    return GroupAction(o.action(idx).elements, apply_basis)
 
 
 def _dual_decoration(ident) -> BE:

@@ -374,9 +374,12 @@ def test_delta_commutes_with_projector():
         assert lhs == rhs
 
 
-def test_delta_squares_on_odd_wheeled_end():
+# the out shift puts the odd markers on the outputs, the in shift on the
+# inputs: each runs its own side of `_u_word_transport`
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_delta_squares_on_odd_wheeled_end(side):
     P = EndProp(V2, max_in=4, max_out=4, wheeled=True)
-    OP = naive_shift(P, "out")
+    OP = naive_shift(P, side)
     assert OP.kind == "odd-wheeled-prop"
     for be in OP.component((2, 2))[:12]:
         x = single((2, 2), be)
@@ -385,11 +388,25 @@ def test_delta_squares_on_odd_wheeled_end():
 
 # -- BV ------------------------------------------------------------------------
 
-def test_bv_on_odd_wheeled_end():
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_bv_on_odd_wheeled_end(side):
     P = EndProp(K1, max_in=6, max_out=6, wheeled=True)
-    OP = naive_shift(P, "out")
+    OP = naive_shift(P, side)
     els = [single(idx, OP.component(idx)[0])
            for idx in [(1, 1), (2, 1), (1, 2)]]
+    rep = bv_verify(OP, els)
+    assert rep.ok, rep.failures
+
+
+# with an odd letter the degree terms of the transport signs count too:
+# each term of `_u_word_transport`, dropped alone, fails one of these cases
+@pytest.mark.parametrize("side", ["out", "in"])
+@pytest.mark.parametrize("picks", [(1, 3, 5), (0, 1, 2)])
+def test_bv_on_odd_wheeled_end_with_an_odd_letter(side, picks):
+    P = EndProp([BE("x", 0), BE("y", 1)], max_in=6, max_out=6, wheeled=True)
+    OP = naive_shift(P, side)
+    els = [single(idx, OP.component(idx)[k])
+           for idx, k in zip([(1, 1), (2, 1), (1, 2)], picks)]
     rep = bv_verify(OP, els)
     assert rep.ok, rep.failures
 

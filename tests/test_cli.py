@@ -5,6 +5,7 @@ message on stderr and never a traceback, and the same input and seed give
 byte-identical reports.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -133,6 +134,11 @@ INPUTS = {
         "entries": {"x|x": 1}}}},
     "cyclic-end-no-form.json": {"builtin": {"name": "cyclic-end"}},
     "end-prop.json": {"builtin": {"name": "end-prop", "max_out": 6}},
+    "table-prop.json": {**TABLE, "kind": "prop", "components": {"[1, 1]": {
+        "basis": [{"id": "a", "degree": 0}], "generators": []}}},
+    "cyclic-end-anti.json": {"builtin": {
+        "name": "cyclic-end", "space": [["x", 0], ["y", 0]],
+        "form": {"entries": {"x|y": 1, "y|x": -1}, "symmetry": "anti"}}},
 }
 MASTER = ("master", "--structure", "structure.json", "--space", "space.json")
 
@@ -179,7 +185,7 @@ def test_twist_verify_mismatch_exits_1():
     assert report["status"] == "fail" and "counterexample" in report
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUT = [
     ("graphs", "canon", "--in", "dangling.json"),
     ("graphs", "canon", "--in", "no_flags.json"),
     ("graphs", "auto", "--in", "dangling.json"),
@@ -237,7 +243,13 @@ def test_twist_verify_mismatch_exits_1():
     ("feynman", "--in", "e.json", "--max-edges", "1", "--samples", "0"),
     ("verify", "axioms", "--in", "cyclic-end-no-form.json"),
     ("bracket", "jacobi", "--in", "cyclic-end-no-form.json"),
-])
+    # flavors with no axiom check, which once passed with nothing checked
+    ("verify", "axioms", "--in", "end-prop.json"),
+    ("verify", "axioms", "--in", "table-prop.json"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT)
 def test_bad_input_exits_2_with_a_message(argv, inputs):
     code, out, err = forge(*argv)
     assert code == 2
@@ -345,6 +357,13 @@ PINNED_STDOUT = [
     (("twist", "verify", "--a", "K", "--b", "T*D[s]", "--family",
       "stable-graph", "--max-edges", "3", "--max-tails", "4"),
      "565f85343198b2a4116bfcd7bab543cc42f8d9888efb858a70ecbe2448802b81"),
+    # the bracket verbs, and one report in the text format
+    (("bracket", "witt"),
+     "7a386e053410a67af4d02216a94b96b50a8b44f8871a164e1ada6cdf6faca28a"),
+    (("--seed", "3", "bracket", "jacobi", "--in", "cyclic-end-anti.json"),
+     "7fe803c55abf06b5c228697da56d10a2574d3cdf3813b4fc559a5818148b1635"),
+    (("--format", "text", "verify", "axioms", "--in", "end-operad.json"),
+     "3448ccd594474e5c5349aad6d8dc8b7a387787d0b7bd8d7814322456efed4bd3"),
 ]
 
 
@@ -362,3 +381,38 @@ def test_master_on_a_failing_series_prints_pinned_bytes(inputs):
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "a62e9cffd06827e7f753a13df2a3a6606dd5ddc36dfcc71fc3fea582d248912b"
+
+
+def test_jacobi_on_a_symmetric_cyclic_end_prints_pinned_bytes(inputs):
+    code, out, _ = forge("--seed", "3", "bracket", "jacobi",
+                         "--in", "cyclic-end.json")
+    assert code == 1
+    assert json.loads(out)["counterexample"] == {"arities": [1, 1, 2]}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6cf9a9ba121da81c70bd648dadf7e1b9cd10a2bcbfc55e35a4637b60bc890000"
+
+
+def _verb_and_action(argv):
+    """(verb, action) of an argv, skipping the global options."""
+    words = list(argv)
+    while words and words[0] in ("--seed", "--format"):
+        words = words[2:]
+    return tuple(words[:2])
+
+
+def test_every_verb_and_action_has_a_pinned_case():
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    # every case of PINNED_STDOUT and BAD_INPUT checks an exit code
+    cases = [argv for argv, _ in PINNED_STDOUT] + BAD_INPUT
+    covered = {_verb_and_action(argv) for argv in cases}
+    covered |= {case[:1] for case in covered}
+    missing = []
+    for verb, sub in verbs.items():
+        actions = [a.choices for a in sub._actions if a.dest == "action"]
+        for action in (actions[0] if actions else [None]):
+            want = (verb, action) if action else (verb,)
+            if want not in covered:
+                missing.append(want)
+    assert not missing, missing

@@ -196,7 +196,7 @@ def test_odd_instance_fails_even_axioms():
     o = EndOperad(V2, max_arity=4)
     sso = naive_shift(operadic_suspension(o), "sigma")
     even_view = Transported(sso, "operad", lambda n: 0, lambda n, g: 1,
-                            circ_sign=lambda ai, x, i, bi, y: 1)
+                            {"circ": lambda ai, x, i, bi, y: 1})
     rep = check_axioms(even_view, 3)
     assert not rep.ok
 
