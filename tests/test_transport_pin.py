@@ -223,6 +223,37 @@ def nc_free_records():
     return records
 
 
+def odd_free_records():
+    """The free K-modular construction on odd (0,3) and (0,4) generators:
+    a piece with an odd number of edges glued after an odd decoration
+    takes the Koszul sign of the edges passing it.  Its box is that of the
+    nc version, since the connected kind has none."""
+    records = []
+    F = free_construct(trivial_modular_generator([(0, 3), (0, 4)], degree=1),
+                       "modular", "K", 2)
+    NC = nc_extension(F)
+    indices = [(0, 3), (0, 4), (0, 5)]
+    _actions(F, indices, records)
+    for ai, a, bi, b in _pairs(F, indices):
+        for s in range(ai[1]):
+            for t in range(bi[1]):
+                records.append(("circ_st", ai, a.ident, s, bi, b.ident, t,
+                                _try(lambda: F.circ_st_basis(
+                                    ai, a, s, bi, b, t))))
+        records.append(("box", ai, a.ident, bi, b.ident,
+                        _try(lambda: F.box_basis(ai, a, bi, b))))
+    for ai, a, bi, b in _pairs(NC, indices):
+        records.append(("nc-box", ai, a.ident, bi, b.ident,
+                        _try(lambda: NC.box_basis(ai, a, bi, b))))
+    for ai in indices:
+        for a in F.component(ai):
+            for s in range(ai[1]):
+                for t in range(s + 1, ai[1]):
+                    records.append(("self", ai, a.ident, s, t,
+                                    _try(lambda: F.self_basis(ai, a, s, t))))
+    return records
+
+
 def feynman_records():
     records = []
     for space, form in (_odd_line(), ([BE("x", 0)], BilinearForm(
@@ -401,6 +432,8 @@ PINNED = {
     "8601279b2291fb499897506c14ba74b632d38c9e9a088843899b42a07f9ef45c",
     "nc_free":
     "18cfdfd36a115405f43be9cd29aa7544a8caa9eb49afceb73178925a203b6f33",
+    "odd_free":
+    "a919d97fb57b4932bf80b357a14ee9c32d96f30ab67fae38b8e0231a39463dee",
     "feynman":
     "daafce5cde83d8faf18e0ffc542fd8f6e4680ca3b41e1313645b47bf0da94ee0",
     "brackets":
@@ -418,6 +451,7 @@ PINNED = {
     ("nc_tensor", nc_tensor_records),
     ("decorate", decorate_records),
     ("nc_free", nc_free_records),
+    ("odd_free", odd_free_records),
     ("feynman", feynman_records),
     ("brackets", brackets_records),
     ("contractions", contraction_records),
