@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import graphs as G
 from .brackets import SumElement, cyclic_bracket, delta
@@ -86,6 +86,17 @@ class _GraphBlock:
     inv_vectors: list  # dicts raw BE -> Fraction
     span: Span  # of inv_vectors: project_raw solves against it
     char: object  # twist character of aut, folded into averages; or None
+    projections: dict = field(default_factory=dict)  # project_raw's, by raw
+
+
+@dataclass
+class _GluePlan:
+    """What a gluing computes without looking at a decoration."""
+    block: _GraphBlock  # of component idx, or a class block if idx is None
+    idx: object
+    canon: object  # the canonical glued graph
+    wsign: int  # of the edge word
+    pieces: list  # per piece: vertex names on canon, local moves, edges
 
 
 def _position_label(i: int) -> str:
@@ -105,6 +116,13 @@ class FreeTwisted(StructureInstance):
     by canonical key.  A gluing builds the one block it lands in, when
     missing; a component is enumerated only when a caller asks for it
     (`component`, `blocks`), and it reuses the blocks already built.
+
+    Each gluing is planned once per instance and key: ("self", key, s, t),
+    ("circ_st", a key, b key, s, t), ("circ", a key, b key, i), ("box",
+    a key, b key), ("act", key, p) for the S_n action, ("bare", key) for
+    `coinvariant_class` (see `_GluePlan`); a call only transports its
+    decorations.  `project_raw` keeps its answers on the block, by the
+    whole raw vector.
     """
 
     def __init__(self, gen: StructureInstance, kind: str, max_edges: int,
@@ -117,6 +135,7 @@ class FreeTwisted(StructureInstance):
         self._blocks: dict = {}
         self._by_key: dict = {}
         self._class_blocks: dict = {}  # `coinvariant_class`'s, by key
+        self._plans: dict = {}  # gluing plans, by operation and blocks
         super().__init__()
 
     # -- component assembly -------------------------------------------------
@@ -198,14 +217,19 @@ class FreeTwisted(StructureInstance):
 
     def project_raw(self, idx, block: _GraphBlock, raw: GradedVector) -> GradedVector:
         """Average a raw vector (twist-weighted) and express it in the
-        invariant basis of its block, solved against the block's span."""
-        avg = average(block.aut, raw, block.char)
-        if avg.is_zero():
-            return GradedVector()
-        coords = coords_in_span(block.span, avg.terms)
-        if coords is None:
-            raise AssertionError("projection left the invariant span")
-        return GradedVector({be: c for be, c in zip(block.inv_bes, coords) if c})
+        invariant basis of its block, solved against the block's span.
+        The answer is kept on the block by the whole raw vector."""
+        key = frozenset(raw.terms.items())
+        out = block.projections.get(key)
+        if out is None:
+            avg = average(block.aut, raw, block.char)
+            coords = [] if avg.is_zero() else coords_in_span(block.span,
+                                                             avg.terms)
+            if coords is None:
+                raise AssertionError("projection left the invariant span")
+            out = block.projections[key] = GradedVector(
+                {be: c for be, c in zip(block.inv_bes, coords) if c})
+        return out
 
     def project_blocks(self, idx, raws) -> GradedVector:
         """The sum of `project_raw` over (block, raw dict) pairs, one pair
@@ -217,64 +241,84 @@ class FreeTwisted(StructureInstance):
                 out.update(self.project_raw(idx, block, raw).terms)
         return GradedVector(out)
 
-    # -- raw gluing ----------------------------------------------------------
+    # -- gluing plans ---------------------------------------------------------
 
-    def _glue(self, ridx, glued, pieces, new_edge=None) -> GradedVector:
-        """The pipeline shared by every gluing and by the S_n action:
-        `_glue_raw`, then the projection into the invariant basis of the
-        result's block in component `ridx`."""
+    def _glue(self, key, build, *raws) -> GradedVector:
+        """The pipeline shared by every gluing and by the S_n action: the
+        plan of `key`, the raw decorations on its graph, and their
+        projection into the invariant basis of its block."""
+        plan = self._plan(key, build)
+        acc = self._glue_decorations(plan, raws)
+        return self.project_blocks(plan.idx, [(plan.block, acc)])
+
+    def _plan(self, key, build) -> _GluePlan:
+        """The plan of `key`, made once from `build()`, which gives
+        (glued graph, pieces, new edge, result component).  A gluing past
+        the edge bound is kept as its message and raises on every call."""
+        plan = self._plans.get(key)
+        if plan is None:
+            try:
+                plan = self._make_plan(*build())
+            except TruncationExceeded as exc:
+                plan = str(exc)
+            self._plans[key] = plan
+        if isinstance(plan, str):
+            raise TruncationExceeded(plan)
+        return plan
+
+    def _make_plan(self, glued, pieces, new_edge, ridx) -> _GluePlan:
+        """`glued` was built from the graphs of the pieces, each given as
+        (block, vmap, fmap): vmap/fmap send the block graph's vertex/flag
+        ids to those of `glued` (None: unchanged).  `new_edge` is the edge
+        the gluing created, as two flags of `glued`, or None.  The result
+        lands in component `ridx`, or in a class block when it is None."""
         if len(glued.edges()) > self.max_edges:
             raise TruncationExceeded("gluing leaves the edge bound")
-        canon, acc = self._glue_raw(glued, pieces, new_edge)
-        return self.project_blocks(ridx, [(self._result_block(ridx, canon),
-                                           acc)])
-
-    def _glue_raw(self, glued, pieces, new_edge=None):
-        """(canonical form of `glued`, raw decorations on it as a dict).
-
-        `glued` was built from the graphs of the pieces, each given as
-        (block, raw vector, vmap, fmap): vmap/fmap send the block graph's
-        vertex/flag ids to those of `glued` (None: unchanged).  `new_edge`
-        is the edge the gluing created, as two flags of `glued`.  The result
-        is canonicalized, and every decoration is transported onto it and
-        merged with the edge-word and Koszul signs.
-        """
         canon, relabel = G.canonical_form(glued)
+        block = (self._block(canon, self._class_blocks) if ridx is None
+                 else self._result_block(ridx, canon))
         vnew, fnew = relabel["vertices"], relabel["flags"]
         flavor = kind_flavor(self.kind)
         word = [] if new_edge is None else [tuple(sorted(fnew[f]
                                                          for f in new_edge))]
-        moved = []
-        for block, raw, vmap, fmap in pieces:
-            graph = block.graph
+        planned = []
+        for piece, vmap, fmap in pieces:
+            graph = piece.graph
             vto = {v: vnew[vmap[v] if vmap else v] for v in graph.vertices}
             fto = {f: fnew[fmap[f] if fmap else f] for f in graph.flags}
             word += [tuple(sorted((fto[a], fto[b]))) for a, b in graph.edges()]
-            names = [vto[v] for v in graph.vertices]
             moves = [local_move(flavor, canon, vto[v],
                                 [fto[f] for f in local_flag_order(flavor,
                                                                   graph, v)])
                      for v in graph.vertices]
-            moved.append([(dec, c, (names, transport(
-                self.gen, decoration_factors(dec), moves)))
-                for dec, c in raw.terms.items()])
+            planned.append(([vto[v] for v in graph.vertices], moves,
+                            len(graph.edges())))
         wsign = 1
         if self.odd:
             wsign = wedge_reorder_sign(
                 word, sorted(tuple(sorted(e)) for e in canon.edges()))
-        n_edges = [len(block.graph.edges()) for block, _, _, _ in pieces]
+        return _GluePlan(block, ridx, canon, wsign, planned)
+
+    def _glue_decorations(self, plan: _GluePlan, raws) -> dict:
+        """The raw decorations of a gluing on its canonical graph, as a
+        dict: every decoration of each piece's raw vector is transported by
+        the plan's moves and merged with the edge-word and Koszul signs."""
+        moved = [[(dec, c, (names, transport(
+            self.gen, decoration_factors(dec), moves)))
+            for dec, c in raw.terms.items()]
+            for (names, moves, _), raw in zip(plan.pieces, raws)]
         acc: dict = {}
         for combo in itertools.product(*moved):
-            coeff = Q(wsign)
+            coeff = Q(plan.wsign)
             earlier = 0  # degree of the earlier pieces' decorations
-            for (dec, c, _), ne in zip(combo, n_edges):
+            for (dec, c, _), (_, _, ne) in zip(combo, plan.pieces):
                 coeff *= c
                 # a piece's edges pass the earlier decorations
                 if self.odd and ne % 2 and earlier % 2:
                     coeff = -coeff
                 earlier += dec.degree
-            merge_into(acc, canon, [part for _, _, part in combo], coeff)
-        return canon, acc
+            merge_into(acc, plan.canon, [part for _, _, part in combo], coeff)
+        return acc
 
     def _result_block(self, ridx, canon) -> _GraphBlock:
         """The block of component `ridx` whose graph is `canon`, a canonical
@@ -298,18 +342,23 @@ class FreeTwisted(StructureInstance):
                        graph.boundary, genus=graph.genus, gamma=graph.gamma,
                        orientation=graph.orientation, labels=labels)
 
-    def _graft(self, ridx, ai, a, amap, bi, b, bmap) -> GradedVector:
+    def _graft(self, key, ridx, ai, a, amap, bi, b, bmap) -> GradedVector:
         """Glue the tail of a labelled "glue-a" by `amap` to the tail of b
-        labelled "glue-b" by `bmap`; the maps relabel the other positions."""
+        labelled "glue-b" by `bmap`; the maps relabel the other positions.
+        key is (operation, positions), planned with the block keys."""
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
-        ga = self._relabel_positions(block_a.graph, amap)
-        gb = self._relabel_positions(block_b.graph, bmap)
-        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
-        glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
-        return self._glue(ridx, glued, [(block_a, raw_a, None, None),
-                                        (block_b, raw_b, vmap, fmap)],
-                          new_edge=(sf, fmap[tf]))
+
+        def build():
+            ga = self._relabel_positions(block_a.graph, amap)
+            gb = self._relabel_positions(block_b.graph, bmap)
+            sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(gb, "glue-b")
+            glued, vmap, fmap = G.graft_with_maps(ga, sf, gb, tf)
+            return (glued, [(block_a, None, None), (block_b, vmap, fmap)],
+                    (sf, fmap[tf]), ridx)
+
+        return self._glue((key[0], block_a.key, block_b.key) + key[1:], build,
+                          raw_a, raw_b)
 
     def circ_st_basis(self, ai, a, s, bi, b, t) -> GradedVector:
         # surviving positions: a's after s, then b's after t
@@ -319,33 +368,41 @@ class FreeTwisted(StructureInstance):
                 for new, p in enumerate(rotation_order(bi[1], t))}
         amap[_position_label(s)] = "glue-a"
         bmap[_position_label(t)] = "glue-b"
-        return self._graft(self.circ_st_index(ai, bi), ai, a, amap, bi, b,
-                           bmap)
+        return self._graft(("circ_st", s, t), self.circ_st_index(ai, bi),
+                           ai, a, amap, bi, b, bmap)
 
     def self_basis(self, ai, a, s, t) -> GradedVector:
         block_a, raw_a = self.expand(ai, a)
-        label_map = {_position_label(p): _position_label(new)
-                     for new, p in enumerate(rotation_order2(ai[1], s, t))}
-        label_map[_position_label(s)] = "glue-a"
-        label_map[_position_label(t)] = "glue-b"
-        ga = self._relabel_positions(block_a.graph, label_map)
-        sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(ga, "glue-b")
-        glued = G.self_glue(ga, sf, tf)
-        return self._glue(self._index_of_graph(glued), glued,
-                          [(block_a, raw_a, None, None)], new_edge=(sf, tf))
+
+        def build():
+            label_map = {_position_label(p): _position_label(new)
+                         for new, p in enumerate(rotation_order2(ai[1], s, t))}
+            label_map[_position_label(s)] = "glue-a"
+            label_map[_position_label(t)] = "glue-b"
+            ga = self._relabel_positions(block_a.graph, label_map)
+            sf, tf = _flag_labelled(ga, "glue-a"), _flag_labelled(ga, "glue-b")
+            glued = G.self_glue(ga, sf, tf)
+            return (glued, [(block_a, None, None)], (sf, tf),
+                    self._index_of_graph(glued))
+
+        return self._glue(("self", block_a.key, s, t), build, raw_a)
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
         if not kind_has_box(self.kind):
             raise KindMismatch(f"{self.kind} has no horizontal composition")
         block_a, raw_a = self.expand(ai, a)
         block_b, raw_b = self.expand(bi, b)
-        gb = self._relabel_positions(
-            block_b.graph, {_position_label(i): _position_label(ai[1] + i)
-                            for i in range(bi[1])})
-        union, vmap, fmap = G.disjoint_union_with_maps(block_a.graph, gb)
-        return self._glue(self._index_of_graph(union), union,
-                          [(block_a, raw_a, None, None),
-                           (block_b, raw_b, vmap, fmap)])
+
+        def build():
+            gb = self._relabel_positions(
+                block_b.graph, {_position_label(i): _position_label(ai[1] + i)
+                                for i in range(bi[1])})
+            union, vmap, fmap = G.disjoint_union_with_maps(block_a.graph, gb)
+            return (union, [(block_a, None, None), (block_b, vmap, fmap)],
+                    None, self._index_of_graph(union))
+
+        return self._glue(("box", block_a.key, block_b.key), build, raw_a,
+                          raw_b)
 
     def _index_of_graph(self, graph):
         flavor = kind_flavor(self.kind)
@@ -363,18 +420,22 @@ class FreeTwisted(StructureInstance):
     def _build_action(self, idx):
         def apply_basis(p, a):
             block, raw = self.expand(idx, a)
-            moved = self._relabel_positions(
-                block.graph, {_position_label(i): _position_label(p[i])
-                              for i in range(len(p))})
-            return self._glue(idx, moved, [(block, raw, None, None)])
+
+            def build():
+                moved = self._relabel_positions(
+                    block.graph, {_position_label(i): _position_label(p[i])
+                                  for i in range(len(p))})
+                return moved, [(block, None, None)], None, idx
+
+            return self._glue(("act", block.key, p), build, raw)
 
         return symmetric_action(self.arity(idx), apply_basis)
 
     def coinvariant_class(self, idx, v: GradedVector) -> GradedVector:
         """The S_n-coinvariant class of v, without walking S_n.
 
-        Each term's graph drops its tail labels and goes through
-        `_glue_raw`; the sum is projected into the blocks of the unlabelled
+        Each term's graph drops its tail labels, by the plan of ("bare",
+        block key); the sum is projected into the blocks of the unlabelled
         canonical graphs, whose automorphisms may move tails.  These blocks
         stay out of `_by_key`, so their basis elements name no component.
         """
@@ -382,14 +443,12 @@ class FreeTwisted(StructureInstance):
         for be, c in v.terms.items():
             block, raw = self.expand(idx, be)
             g = block.graph
-            bare = G.Graph(g.vertices, g.flags, g.involution, g.boundary,
-                           genus=g.genus, gamma=g.gamma,
-                           orientation=g.orientation)
-            canon, acc = self._glue_raw(bare, [(block, raw.scale(c), None,
-                                                None)])
-            cblock = self._block(canon, self._class_blocks)
-            into = raws.setdefault(cblock.key, (cblock, {}))[1]
-            for dec, x in acc.items():
+            plan = self._plan(("bare", block.key), lambda: (G.Graph(
+                g.vertices, g.flags, g.involution, g.boundary, genus=g.genus,
+                gamma=g.gamma, orientation=g.orientation),
+                [(block, None, None)], None, None))
+            into = raws.setdefault(plan.block.key, (plan.block, {}))[1]
+            for dec, x in self._glue_decorations(plan, [raw.scale(c)]).items():
                 into[dec] = into.get(dec, ZERO) + x
         return self.project_blocks(idx, raws.values())
 
@@ -734,7 +793,7 @@ class FreeOperad(FreeTwisted):
         bmap = {_position_label(k): _position_label(i - 1 + k)
                 for k in range(bi)}
         bmap["r"] = "glue-b"
-        return self._graft(ai + bi - 1, ai, a, amap, bi, b, bmap)
+        return self._graft(("circ", i), ai + bi - 1, ai, a, amap, bi, b, bmap)
 
 
 def free_operad(gen: StructureInstance, max_edges: int) -> FreeOperad:

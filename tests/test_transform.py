@@ -1215,7 +1215,8 @@ def test_bv_verify_walks_no_s_n_on_seven_tails():
     nc = nc_extension(free_construct(trivial_modular_generator([(0, 3)]),
                                      "modular", "K", 2))
     acted, terms, glued = [], [], []
-    action, cls, glue_raw = nc.action, nc.coinvariant_class, nc._glue_raw
+    action, cls = nc.action, nc.coinvariant_class
+    glue_decorations = nc._glue_decorations
     deciding = []
 
     def counted_action(idx):
@@ -1233,10 +1234,10 @@ def test_bv_verify_walks_no_s_n_on_seven_tails():
     def counted_glue(*args):
         if deciding:
             glued.append(args)
-        return glue_raw(*args)
+        return glue_decorations(*args)
 
     nc.action, nc.coinvariant_class = counted_action, counted_class
-    nc._glue_raw = counted_glue
+    nc._glue_decorations = counted_glue
     rep = bv_verify(nc, [single((0, 3), nc.component((0, 3))[0])])
     assert rep.ok
     assert acted and all(nc.arity(idx) < 7 for idx in acted)

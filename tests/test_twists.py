@@ -1,13 +1,17 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opforge import graphs as G
 from opforge.errors import InputError
-from opforge.gradedlin import wedge_reorder_sign
+from opforge.gradedlin import Q, all_perms, perm_sign, wedge_reorder_sign
 from opforge.twists import (COBOUNDARIES, Coboundary, CoboundaryData,
-                            contract_blocks, parse_twist, standard_twist,
-                            tower_consistent, verify_isomorphism)
+                            _det_sign, contract_blocks, parse_twist,
+                            standard_twist, tower_consistent,
+                            verify_isomorphism)
 
 
 def theta():
@@ -285,3 +289,55 @@ def test_unit_normalization_all_cocycles():
         assert line.degree == 0, expr
         for vm, fm in G.automorphisms(corolla):
             assert line.char(vm, fm) == 1
+
+
+# -- the sign of a determinant ----------------------------------------------
+
+
+def _leibniz(mat):
+    n = len(mat)
+    return sum(perm_sign(p) * math.prod(mat[i][p[i]] for i in range(n))
+               for p in all_perms(n))
+
+
+def _square(n):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(_square))
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 0], [0, 0, -1], [3, 0, 0]])
+@example([[0, 0], [1, 1]])
+@example([[1, 2], [2, 4]])
+def test_det_sign_matches_the_leibniz_sum(rows):
+    # entries from -2..2 give zero leading pivots and singular matrices
+    mat = [[Q(x) for x in row] for row in rows]
+    det = _leibniz(mat)
+    assert _det_sign(mat) == (det > 0) - (det < 0)
+    assert mat == [[Q(x) for x in row] for row in rows]
+
+
+def banana(k):
+    """Two vertices a, b joined by k edges (f_i, g_i)."""
+    fs, gs = [f"f{i}" for i in range(k)], [f"g{i}" for i in range(k)]
+    return G.Graph(["a", "b"], fs + gs,
+                   {**dict(zip(fs, gs)), **dict(zip(gs, fs))},
+                   {**dict.fromkeys(fs, "a"), **dict.fromkeys(gs, "b")})
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cycle_determinant_is_the_sign_of_the_edge_permutation(k):
+    # H1 of k parallel edges is the standard representation of S_k, whose
+    # determinant is the sign; swapping the two vertices reverses every
+    # edge, which is -1 on H1 of dimension k - 1.  An automorphism moving
+    # the first cycle off its leading edge makes `_det_sign` swap rows.
+    line = Det.line(banana(k))
+    auts = G.automorphisms(banana(k))
+    assert len(auts) == 2 * math.factorial(k)
+    for vmap, fmap in auts:
+        swapped = vmap["a"] == "b"
+        edges = tuple(int(fmap[f"f{i}"][1:]) for i in range(k))
+        want = perm_sign(edges) * (-1) ** ((k - 1) * swapped)
+        assert line.char(vmap, fmap) == want
