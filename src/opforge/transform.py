@@ -121,8 +121,9 @@ class FreeTwisted(StructureInstance):
     ("circ_st", a key, b key, s, t), ("circ", a key, b key, i), ("box",
     a key, b key), ("act", key, p) for the S_n action, ("bare", key) for
     `coinvariant_class` (see `_GluePlan`); a call only transports its
-    decorations.  `project_raw` keeps its answers on the block, by the
-    whole raw vector.
+    decorations, and a gluing past the edge bound raises on every call.
+    `project_raw` keeps its answers on the block, by the whole raw vector.
+    Plans and answers live on the instance and its blocks only.
     """
 
     def __init__(self, gen: StructureInstance, kind: str, max_edges: int,
