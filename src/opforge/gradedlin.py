@@ -135,9 +135,6 @@ class GradedBasisElement:
     ident: Hashable
     degree: int
 
-    def shifted(self, k: int) -> "GradedBasisElement":
-        return GradedBasisElement(self.ident, self.degree + k)
-
 
 BE = GradedBasisElement
 
@@ -220,11 +217,6 @@ class GradedVector:
 
 def vec(*pairs: tuple[BE, Fraction | int]) -> GradedVector:
     return GradedVector({be: Q(c) for be, c in pairs})
-
-
-def suspend(v: GradedVector, k: int) -> GradedVector:
-    """Shift every basis degree by k; coefficients unchanged."""
-    return GradedVector({be.shifted(k): c for be, c in v.terms.items()})
 
 
 # --------------------------------------------------------------------------

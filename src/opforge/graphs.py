@@ -395,17 +395,11 @@ def total_genus(g: Graph) -> int:
     return sum(g.g_of(v) for v in g.vertices) + g.first_betti()
 
 
-def total_gamma(g: Graph) -> int:
-    """1 - chi + sum of gamma labels, chi = |V| - |E|; disconnected allowed."""
-    chi = len(g.vertices) - len(g.edges())
-    return 1 - chi + sum(g.gamma_of(v) for v in g.vertices)
-
-
 def additive_gamma(g: Graph) -> int:
     """First Betti number plus the gamma labels.
 
-    Unlike total_gamma this is additive under disjoint union, which is what
-    the nc composition bookkeeping needs; the two agree on connected graphs.
+    It is additive under disjoint union, which is what the nc composition
+    bookkeeping needs; on a connected graph it is 1 - chi plus the labels.
     """
     return g.first_betti() + sum(g.gamma_of(v) for v in g.vertices)
 

@@ -648,8 +648,6 @@ class EndProp(StructureInstance):
         return out
 
     def box_basis(self, ai, a, bi, b) -> GradedVector:
-        na, ma = ai
-        nb, mb = bi
         ridx = self.box_index(ai, bi)
         if ridx[0] > self.max_in or ridx[1] > self.max_out:
             raise TruncationExceeded("product leaves the component bounds")
@@ -1244,13 +1242,13 @@ def check_axioms(o: StructureInstance, max_arity: int = 3) -> Report:
                             for tg in perms_m:
                                 for i in range(1, n + 1):
                                     checked += 1
-                                    sg_full, tg_full = _lift_perm(o, fl, n, sg), _lift_perm(o, fl, m, tg)
+                                    sg_full, tg_full = _lift_perm(fl, sg), _lift_perm(fl, tg)
                                     lhs = o.circ(n, o.act(n, sg_full, GradedVector.unit(a)), i,
                                                  m, o.act(m, tg_full, GradedVector.unit(b)))
                                     i0 = invert(sg)[i - 1] + 1
                                     inner = o.circ_basis(n, a, i0, m, b)
                                     pi = block_insert(sg, i, tg)
-                                    pi_full = _lift_perm(o, fl, n + m - 1, pi)
+                                    pi_full = _lift_perm(fl, pi)
                                     rhs = o.act(n + m - 1, pi_full, inner)
                                     if lhs != rhs:
                                         return fail("equivariance", a=a.ident,
@@ -1285,7 +1283,7 @@ def check_axioms(o: StructureInstance, max_arity: int = 3) -> Report:
     return Report(True, checked, [])
 
 
-def _lift_perm(o, fl, n, p):
+def _lift_perm(fl, p):
     """Lift a permutation of inputs to whatever the component group uses."""
     if fl == "cyclic":
         return tuple([0] + [x + 1 for x in p])

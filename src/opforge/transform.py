@@ -80,6 +80,8 @@ def trivial_modular_generator(types, degree=0) -> GeneratorInstance:
 class _GraphBlock:
     graph: object
     key: object
+    idx: object  # its component; None for a `coinvariant_class` block
+    locs: list  # each vertex's `local_index`, in vertex order
     raw_basis: list
     aut: GroupAction
     inv_bes: list
@@ -92,8 +94,7 @@ class _GraphBlock:
 @dataclass
 class _GluePlan:
     """What a gluing computes without looking at a decoration."""
-    block: _GraphBlock  # of component idx, or a class block if idx is None
-    idx: object
+    block: _GraphBlock  # the result's, or a class block
     canon: object  # the canonical glued graph
     wsign: int  # of the edge word
     pieces: list  # per piece: vertex names on canon, local moves, edges
@@ -123,7 +124,9 @@ class FreeTwisted(StructureInstance):
     `coinvariant_class` (see `_GluePlan`); a call only transports its
     decorations, and a gluing past the edge bound raises on every call.
     `project_raw` keeps its answers on the block, by the whole raw vector.
-    Plans and answers live on the instance and its blocks only.
+    Plans and answers live on the instance and its blocks only.  A block
+    also keeps its component (`idx`) and the `local_index` of each vertex
+    (`locs`), so no term works either out from the graph again.
     """
 
     def __init__(self, gen: StructureInstance, kind: str, max_edges: int,
@@ -169,26 +172,29 @@ class FreeTwisted(StructureInstance):
                      or all((label(v), len(graph.vertex_flags(v))) in types
                             for v in graph.vertices)))
 
-    def _block(self, graph, table) -> _GraphBlock:
-        """The block of `graph`, kept in `table` by canonical key."""
+    def _block(self, graph, idx) -> _GraphBlock:
+        """The block of `graph` in component idx, kept in `_by_key` by
+        canonical key; with idx None, a class block in `_class_blocks`."""
+        table = self._class_blocks if idx is None else self._by_key
         key = graph.canonical_key()
         if key in table:
             return table[key]
-        basis, aut, _ = decorate(self.gen, graph, kind_flavor(self.kind))
+        flavor = kind_flavor(self.kind)
+        basis, aut, _ = decorate(self.gen, graph, flavor)
         char = self._twist_char(graph)  # folded into the averages
         invs = invariant_basis(aut, basis, char)
         inv_vectors = [dict(avg.terms) for _, avg in invs]
         shift = self.edge_degree * len(graph.edges())
         inv_bes = [BE(("fc", key, j), basis[i].degree + shift)
                    for j, (i, _) in enumerate(invs)]
-        block = _GraphBlock(graph, key, basis, aut, inv_bes, inv_vectors,
-                            Span(inv_vectors), char)
+        locs = [local_index(flavor, graph, v) for v in graph.vertices]
+        block = _GraphBlock(graph, key, idx, locs, basis, aut, inv_bes,
+                            inv_vectors, Span(inv_vectors), char)
         table[key] = block
         return block
 
     def _build_component(self, idx):
-        blocks = [self._block(graph, self._by_key)
-                  for graph in self._graphs_for(idx)]
+        blocks = [self._block(graph, idx) for graph in self._graphs_for(idx)]
         self._blocks[idx] = blocks
         out = []
         for b in blocks:
@@ -211,12 +217,14 @@ class FreeTwisted(StructureInstance):
     # -- raw <-> invariant bookkeeping ---------------------------------------
 
     def expand(self, idx, be: BE):
-        """Invariant basis element -> (block, raw GradedVector)."""
+        """Invariant basis element -> (block, raw GradedVector).  The block
+        comes from the element alone: idx is unread, and stays because its
+        callers, `bench/workloads.py` among them, pass it."""
         _, key, j = be.ident
         block = self._by_key[key]
         return block, GradedVector(block.inv_vectors[j])
 
-    def project_raw(self, idx, block: _GraphBlock, raw: GradedVector) -> GradedVector:
+    def project_raw(self, block: _GraphBlock, raw: GradedVector) -> GradedVector:
         """Average a raw vector (twist-weighted) and express it in the
         invariant basis of its block, solved against the block's span.
         The answer is kept on the block by the whole raw vector."""
@@ -232,14 +240,14 @@ class FreeTwisted(StructureInstance):
                 {be: c for be, c in zip(block.inv_bes, coords) if c})
         return out
 
-    def project_blocks(self, idx, raws) -> GradedVector:
+    def project_blocks(self, raws) -> GradedVector:
         """The sum of `project_raw` over (block, raw dict) pairs, one pair
         per block: distinct blocks have disjoint invariant bases."""
         out: dict = {}
         for block, raw in raws:
             raw = GradedVector(raw)
             if not raw.is_zero():
-                out.update(self.project_raw(idx, block, raw).terms)
+                out.update(self.project_raw(block, raw).terms)
         return GradedVector(out)
 
     # -- gluing plans ---------------------------------------------------------
@@ -250,7 +258,7 @@ class FreeTwisted(StructureInstance):
         projection into the invariant basis of its block."""
         plan = self._plan(key, build)
         acc = self._glue_decorations(plan, raws)
-        return self.project_blocks(plan.idx, [(plan.block, acc)])
+        return self.project_blocks([(plan.block, acc)])
 
     def _plan(self, key, build) -> _GluePlan:
         """The plan of `key`, made once from `build()`, which gives
@@ -276,7 +284,7 @@ class FreeTwisted(StructureInstance):
         if len(glued.edges()) > self.max_edges:
             raise TruncationExceeded("gluing leaves the edge bound")
         canon, relabel = G.canonical_form(glued)
-        block = (self._block(canon, self._class_blocks) if ridx is None
+        block = (self._block(canon, None) if ridx is None
                  else self._result_block(ridx, canon))
         vnew, fnew = relabel["vertices"], relabel["flags"]
         flavor = kind_flavor(self.kind)
@@ -298,7 +306,7 @@ class FreeTwisted(StructureInstance):
         if self.odd:
             wsign = wedge_reorder_sign(
                 word, sorted(tuple(sorted(e)) for e in canon.edges()))
-        return _GluePlan(block, ridx, canon, wsign, planned)
+        return _GluePlan(block, canon, wsign, planned)
 
     def _glue_decorations(self, plan: _GluePlan, raws) -> dict:
         """The raw decorations of a gluing on its canonical graph, as a
@@ -334,7 +342,7 @@ class FreeTwisted(StructureInstance):
             if not self._in_component(ridx, canon):
                 raise TruncationExceeded("glued graph missing from the "
                                          "component")
-            block = self._block(canon, self._by_key)
+            block = self._block(canon, ridx)
         return block
 
     def _relabel_positions(self, graph, label_map):
@@ -415,8 +423,7 @@ class FreeTwisted(StructureInstance):
     def component_of_basis(self, be):
         if not (isinstance(be.ident, tuple) and be.ident[0] == "fc"):
             return None
-        block = self._by_key[be.ident[1]]
-        return self._index_of_graph(block.graph)
+        return self._by_key[be.ident[1]].idx
 
     def _build_action(self, idx):
         def apply_basis(p, a):
@@ -451,7 +458,7 @@ class FreeTwisted(StructureInstance):
             into = raws.setdefault(plan.block.key, (plan.block, {}))[1]
             for dec, x in self._glue_decorations(plan, [raw.scale(c)]).items():
                 into[dec] = into.get(dec, ZERO) + x
-        return self.project_blocks(idx, raws.values())
+        return self.project_blocks(raws.values())
 
     # -- the universal property ---------------------------------------------
 
@@ -469,32 +476,29 @@ class FreeTwisted(StructureInstance):
         flavor = kind_flavor(self.kind)
         act = target.action(idx)
         pos = {_position_label(i): i for i in range(self.arity(idx))}
-        plans: dict = {}  # block key -> (plan or None, locs, order)
+        plans: dict = {}  # block key -> (plan or None, order)
         acc: dict = {}
         for be, c in v.terms.items():
             block, raw = self.expand(idx, be)
             if block.key not in plans:
-                graph, canon, plan = block.graph, block.graph, None
+                graph, plan = block.graph, None
                 edges = graph.edges()
                 if len(edges) > 1 or len(graph.vertices) > len(edges) + 1:
                     raise UnsupportedKind("evaluate takes connected graphs "
                                           "with at most one edge")
                 if edges:
-                    canon, relabel = G.canonical_form(
-                        G.contract_edge(graph, edges[0]))
-                    plan = _ContractionPlan(target, graph, edges[0], canon,
-                                            relabel)
+                    plan = _ContractionPlan(target, graph, edges[0])
+                canon = plan.canon if plan else graph
                 (vertex,) = canon.vertices
-                plans[block.key] = (
-                    plan, [local_index(flavor, graph, w)
-                           for w in graph.vertices],
-                    tuple(pos[canon.labels[f]]
-                          for f in local_flag_order(flavor, canon, vertex)))
-            plan, locs, order = plans[block.key]
+                plans[block.key] = (plan, tuple(
+                    pos[canon.labels[f]]
+                    for f in local_flag_order(flavor, canon, vertex)))
+            plan, order = plans[block.key]
             for dec, cd in raw.terms.items():
+                factors = decoration_factors(dec)
                 for combo in itertools.product(*[
                         gen_map(loc, x).terms.items()
-                        for loc, x in zip(locs, decoration_factors(dec))]):
+                        for loc, x in zip(block.locs, factors)]):
                     coeff = c * cd
                     for _, ci in combo:
                         coeff *= ci
@@ -899,20 +903,30 @@ def closed_window(requested, max_edges: int):
 
 
 class _ContractionPlan:
-    """Contraction of edge e of ghat onto canon, its canonical form, with
-    the vertices of ghat decorated by factors of o.
+    """Contraction of edge e of ghat onto canon, the canonical form of
+    ghat/e, with the vertices of ghat decorated by factors of o.
 
-    Everything that does not depend on the factors is worked out once: the
-    flag positions s, t of e's ends, the flags the glued factor keeps, the
-    merged vertex, the vertices and `local_move`s of the other factors.
+    Everything that does not depend on the factors is worked out once:
+    canon, the sign of the edge word (e taken out of ghat's sorted word,
+    the rest carried onto canon's), the flag positions s, t of e's ends, the
+    flags the glued factor keeps, the merged vertex, the vertices and
+    `local_move`s of the other factors.
     `contract` glues the factors at the ends of e by o's own composition,
     then transports the result and the untouched factors onto canon and
     merges them in its vertex order.
     """
 
-    def __init__(self, o, ghat, e, canon, relabel):
+    def __init__(self, o, ghat, e):
         flavor = kind_flavor(o.kind)
+        canon, relabel = G.canonical_form(G.contract_edge(ghat, e))
         self.o, self.canon = o, canon
+        vnew, fnew = relabel["vertices"], relabel["flags"]
+        word = sorted(tuple(sorted(x)) for x in ghat.edges())
+        key = tuple(sorted(e))
+        rest = [tuple(sorted((fnew[a], fnew[b]))) for a, b in word
+                if (a, b) != key]
+        self.word_sign = (-1) ** word.index(key) * wedge_reorder_sign(
+            rest, sorted(tuple(sorted(x)) for x in canon.edges()))
         f1, f2 = e
         v1, v2 = ghat.boundary[f1], ghat.boundary[f2]
         old_vs = list(ghat.vertices)
@@ -937,7 +951,6 @@ class _ContractionPlan:
             self.perm = tuple(front.index(i) for i in range(len(old_vs)))
             glued_flags = ([o1[k] for k in rotation_order(len(o1), self.s)]
                            + [o2[k] for k in rotation_order(len(o2), self.t)])
-        vnew, fnew = relabel["vertices"], relabel["flags"]
         merged_v = canon.boundary[fnew[glued_flags[0]]] \
             if glued_flags else vnew[min(v1, v2)]
         # the glued factor sits at the merged vertex, the others move along
@@ -1009,27 +1022,12 @@ class FeynmanTransform:
     def _contract_data(self, bhat: _GraphBlock, e):
         """(contracted canonical graph, word sign, primal ident -> image)."""
         o = self.source.inst
-        ghat = bhat.graph
-        target = G.contract_edge(ghat, e)
-        canon, relabel = G.canonical_form(target)
-        # edge word sign: extract e from ghat's word, remaining must match
-        edges_hat = sorted(tuple(sorted(x)) for x in ghat.edges())
-        epos = edges_hat.index(tuple(sorted(e)))
-        sign_extract = (-1) ** epos
-        rest = [x for x in edges_hat if x != tuple(sorted(e))]
-        image = [tuple(sorted((relabel["flags"][a], relabel["flags"][b])))
-                 for a, b in rest]
-        word_sign = sign_extract * wedge_reorder_sign(
-            image, sorted(tuple(sorted(x)) for x in canon.edges()))
-
-        flavor = kind_flavor(o.kind)
-        plan = _ContractionPlan(o, ghat, e, canon, relabel)
+        plan = _ContractionPlan(o, bhat.graph, e)
         raw_map = {}
-        for dec in itertools.product(*[o.component(local_index(flavor, ghat, v))
-                                       for v in ghat.vertices]):
+        for dec in itertools.product(*[o.component(loc) for loc in bhat.locs]):
             ident = tuple((x.ident, x.degree) for x in dec)
             raw_map[ident] = plan.contract(dec)
-        return canon, word_sign, raw_map
+        return plan.canon, plan.word_sign, raw_map
 
     def _contractions_into(self, idx) -> dict:
         """The one-edge contractions in component idx by the key of the
@@ -1067,7 +1065,7 @@ class FeynmanTransform:
                     for phi, cp in raw.terms.items():
                         for xd, cx in by_phi.get(phi, ()):
                             psi[xd] = psi.get(xd, 0) + word_sign * c * cp * cx
-            parts[idx] = self.free.project_blocks(idx, per_block.values())
+            parts[idx] = self.free.project_blocks(per_block.values())
         return SumElement(parts)
 
     def d_internal(self, x: SumElement) -> SumElement:
@@ -1078,19 +1076,16 @@ class FeynmanTransform:
         """
         parts = {}
         F = self.free
-        flavor = kind_flavor(self.source.inst.kind)
         for idx, v in x.items():
             per_block: dict = {}
             for be, c in v.terms.items():
                 block, raw = F.expand(idx, be)
                 acc = per_block.setdefault(block.key, (block, {}))[1]
                 nE = len(block.graph.edges())
-                locs = [local_index(flavor, block.graph, w)
-                        for w in block.graph.vertices]
                 for dec, cd in raw.terms.items():
                     factors = decoration_factors(dec)
                     for slot in range(len(factors)):
-                        img = self._dual_diff(locs[slot], factors[slot])
+                        img = self._dual_diff(block.locs[slot], factors[slot])
                         if img.is_zero():
                             continue
                         sign = (-1) ** (nE + sum(f.degree for f
@@ -1099,7 +1094,7 @@ class FeynmanTransform:
                             nbe = decoration(
                                 factors[:slot] + (nf,) + factors[slot + 1:])
                             acc[nbe] = acc.get(nbe, ZERO) + c * cd * c2 * sign
-            parts[idx] = F.project_blocks(idx, per_block.values())
+            parts[idx] = F.project_blocks(per_block.values())
         return SumElement(parts)
 
     def _dual_diff(self, loc, phi: BE) -> GradedVector:
@@ -1158,8 +1153,6 @@ def build_master_carrier(w_space, w_form_entries, v_space, v_form_entries,
         for v in v_space:
             u_space.append(BE(("u", w.ident, v.ident), w.degree + v.degree))
     entries = {}
-    wdeg = {w.ident: w.degree for w in w_space}
-    vdeg = {v.ident: v.degree for v in v_space}
     for w1 in w_space:
         for v1 in v_space:
             for w2 in w_space:
@@ -1218,7 +1211,8 @@ def master_lhs_components(series, carrier, d_fun, window) -> dict:
     return {idx: lhs.parts.get(idx, GradedVector()) for idx in window}
 
 
-def random_series(carrier, window, seed: int, scale=3) -> MasterSeries:
+def random_series(carrier, window, seed: int) -> MasterSeries:
+    """Random degree-0 invariants, coefficients -3..3 on each basis vector."""
     import random as _random
     rng = _random.Random(seed)
     terms = {}
@@ -1226,7 +1220,7 @@ def random_series(carrier, window, seed: int, scale=3) -> MasterSeries:
         basis = invariant_degree_basis(carrier, idx, 0)
         v = GradedVector()
         for b in basis:
-            v = v + b.scale(Q(rng.randrange(-scale, scale + 1)))
+            v = v + b.scale(Q(rng.randrange(-3, 4)))
         if not v.is_zero():
             terms[idx] = v
     return MasterSeries(terms)
@@ -1318,17 +1312,13 @@ def _pairing_table(m: GradedVector, idx, w_space, target) -> dict:
 
 
 def _unzip_sign(ws, vs):
-    """Koszul sign of [w1 v1 w2 v2 ...] -> [w1 w2 ... v1 v2 ...]."""
-    inter = []
+    """Koszul sign of [w1 v1 w2 v2 ...] -> [w1 w2 ... v1 v2 ...]: v_i passes
+    every w_j with i < j, so it is the parity of sum_{i<j} |v_i||w_j|."""
+    odd = passed = 0  # passed: the degree of the v's so far
     for w, v in zip(ws, vs):
-        inter.append(w)
-        inter.append(v)
-    n = len(ws)
-    perm = []
-    for i in range(n):
-        perm.append(i)        # w_i -> slot i
-        perm.append(n + i)    # v_i -> slot n+i
-    return koszul_sign(tuple(perm), [x.degree for x in inter])
+        odd += passed * w.degree
+        passed += v.degree
+    return -1 if odd % 2 else 1
 
 
 @dataclass
@@ -1532,7 +1522,7 @@ class PropFromOperad(_RowWords):
             raise TruncationExceeded(str(self.box_index(ai, bi)))
         return self._concat(a, ai[0], b, self.max_out)
 
-    def restrict_to_operad(self, n, a: BE):
+    def restrict_to_operad(self, a: BE):
         """(n, 1) components carry the original operad."""
         rows = self._split(a)
         if len(rows) != 1:

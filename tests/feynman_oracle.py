@@ -44,5 +44,5 @@ def scan_d_edge_basis(ft, idx, be, contractions: dict) -> dict:
                     dbe = BE(("dec", dual), -sum(d for _, d in xident))
                     psi = psi + GradedVector.unit(dbe, coeff)
             if not psi.is_zero():
-                out = out + F.project_raw(idx, bhat, psi.scale(word_sign))
+                out = out + F.project_raw(bhat, psi.scale(word_sign))
     return dict(out.terms)

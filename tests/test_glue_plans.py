@@ -72,7 +72,7 @@ def _answer(o, indices, call):
             return o.coinvariant_class(ai, GradedVector(
                 {be: c for be, c in zip(basis[j1 % len(basis):], coeffs)}))
         block = o.blocks(ai)[j1 % len(o.blocks(ai))]
-        return o.project_raw(ai, block, GradedVector(dict(zip(
+        return o.project_raw(block, GradedVector(dict(zip(
             block.raw_basis, coeffs))))
     except (TruncationExceeded, KindMismatch) as exc:
         return type(exc)

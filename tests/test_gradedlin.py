@@ -11,7 +11,7 @@ from opforge.gradedlin import (BE, ZERO, GradedVector, GroupAction, Span,
                                all_perms, average, compose, coords_in_span,
                                identity_perm, independent_rows, invert,
                                koszul_sign, long_cycle, perm_sign,
-                               permute_factors, rank_of, rref, suspend,
+                               permute_factors, rank_of, rref,
                                wedge_reorder_sign)
 
 # -- helpers only these tests use ------------------------------------------------
@@ -169,12 +169,6 @@ def test_koszul_swap_involutive():
     for da, db in itertools.product(range(3), repeat=2):
         v = tensor2(GradedVector.unit(BE("a", da)), GradedVector.unit(BE("b", db)))
         assert swap_pair_vector(swap_pair_vector(v)) == v
-
-
-def test_suspend_roundtrip_and_degree():
-    v = GradedVector.unit(BE("a", 2), Q(3))
-    assert suspend(suspend(v, 1), -1) == v
-    assert next(iter(suspend(v, 4).terms)).degree == 6
 
 
 def test_det_line():

@@ -14,8 +14,7 @@ from opforge.errors import NotAnEdge, NotATail, NotConnected
 from opforge.graphs import (GRAPH_CLASSES, Graph, additive_gamma,
                             automorphisms, canonical_form, classify,
                             contract_edge, corolla, enumerate_graphs, graft,
-                            merge_vertices, self_glue, total_gamma,
-                            total_genus)
+                            merge_vertices, self_glue, total_genus)
 
 
 def theta():
@@ -150,19 +149,18 @@ def test_total_genus():
         total_genus(two)
 
 
-def test_total_gamma():
-    # two disjoint genus-0 loops: chi = 0, result 1
+def test_additive_gamma():
+    # two disjoint genus-0 loops: one cycle each
     g = Graph(["a", "b"], ["s1", "t1", "s2", "t2"],
               {"s1": "t1", "t1": "s1", "s2": "t2", "t2": "s2"},
               {"s1": "a", "t1": "a", "s2": "b", "t2": "b"}, gamma={})
-    assert total_gamma(g) == 1
-    assert additive_gamma(g) == 2  # betti-based version is additive
+    assert additive_gamma(g) == 2
     # connected, gamma = genus equals total genus
     t = theta()
     tg = Graph(t.vertices, t.flags, t.involution, t.boundary,
                gamma={v: 0 for v in t.vertices})
-    assert total_gamma(tg) == total_genus(t)
-    assert total_gamma(corolla("v", ["a"], gamma=3)) == 3
+    assert additive_gamma(tg) == total_genus(t)
+    assert additive_gamma(corolla("v", ["a"], gamma=3)) == 3
 
 
 # -- classification -----------------------------------------------------------

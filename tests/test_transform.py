@@ -539,7 +539,7 @@ def test_prop_from_operad_restricts_to_operad():
     assert idx == (3, 1)
     (be, c), = v.terms.items()
     assert c == 2
-    assert P.restrict_to_operad(3, be).ident == o.component(3)[0].ident
+    assert P.restrict_to_operad(be).ident == o.component(3)[0].ident
 
 
 def test_operadic_bracket_maps_to_dioperadic():

@@ -2,16 +2,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from opforge import graphs as G
 from opforge.errors import InputError
-from opforge.gradedlin import Q, all_perms, perm_sign, wedge_reorder_sign
+from opforge.gradedlin import (ONE, ZERO, Span, all_perms, coords_in_span,
+                               perm_sign, rref, wedge_reorder_sign)
 from opforge.twists import (COBOUNDARIES, Coboundary, CoboundaryData,
-                            _det_sign, contract_blocks, parse_twist,
-                            standard_twist, tower_consistent,
-                            verify_isomorphism)
+                            contract_blocks, parse_twist, standard_twist,
+                            tower_consistent, verify_isomorphism)
 
 
 def theta():
@@ -291,7 +289,7 @@ def test_unit_normalization_all_cocycles():
             assert line.char(vm, fm) == 1
 
 
-# -- the sign of a determinant ----------------------------------------------
+# -- the cycle-space determinant --------------------------------------------
 
 
 def _leibniz(mat):
@@ -300,23 +298,75 @@ def _leibniz(mat):
                for p in all_perms(n))
 
 
-def _square(n):
-    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                    min_size=n, max_size=n)
+def _cycle_space(graph):
+    """A basis of H1 = ker(C1 -> C0), the edges oriented by their sorted
+    flags, as dicts edge -> coefficient, from the rref of the boundary."""
+    edges = sorted(tuple(sorted(e)) for e in graph.edges())
+    rows = [[ZERO] * len(edges) for _ in graph.vertices]
+    where = {v: i for i, v in enumerate(graph.vertices)}
+    for j, (a, b) in enumerate(edges):
+        rows[where[graph.boundary[b]]][j] += ONE
+        rows[where[graph.boundary[a]]][j] -= ONE
+    red, pivots = rref(rows)
+    basis = []
+    for j in (j for j in range(len(edges)) if j not in pivots):
+        vec = {edges[j]: ONE}
+        for r, p in enumerate(pivots):
+            if red[r][j]:
+                vec[edges[p]] = -red[r][j]
+        basis.append(vec)
+    return basis
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.integers(1, 4).flatmap(_square))
-@example([[0, 1], [1, 0]])
-@example([[0, 2, 0], [0, 0, -1], [3, 0, 0]])
-@example([[0, 0], [1, 1]])
-@example([[1, 2], [2, 4]])
-def test_det_sign_matches_the_leibniz_sum(rows):
-    # entries from -2..2 give zero leading pivots and singular matrices
-    mat = [[Q(x) for x in row] for row in rows]
+def _cycle_char(basis, fmap):
+    """The sign of the determinant of the automorphism on the basis."""
+    span = Span(basis)
+    mat = []
+    for vec in basis:
+        moved = {}
+        for (a, b), c in vec.items():
+            ta, tb = fmap[a], fmap[b]
+            key = tuple(sorted((ta, tb)))
+            moved[key] = moved.get(key, ZERO) + (c if ta < tb else -c)
+        mat.append(coords_in_span(span, moved))
     det = _leibniz(mat)
-    assert _det_sign(mat) == (det > 0) - (det < 0)
-    assert mat == [[Q(x) for x in row] for row in rows]
+    return (det > 0) - (det < 0)
+
+
+def _small_unions():
+    def rose(k):
+        flags = [f"h{i}" for i in range(2 * k)]
+        return G.Graph(["v"], flags, {f: flags[i ^ 1]
+                                      for i, f in enumerate(flags)},
+                       dict.fromkeys(flags, "v"))
+
+    small = [rose(1), rose(2), banana(2), banana(3)]
+    for a, b in itertools.combinations_with_replacement(small, 2):
+        yield G.disjoint_union_with_maps(a, b)[0]
+
+
+def _cycle_corpus():
+    for n in range(3):
+        labels = [str(i + 1) for i in range(n)]
+        yield from G.enumerate_graphs("graph", {"labels": labels}, 3)
+        yield from G.enumerate_graphs("stable-graph",
+                                      {"labels": labels, "genus": 1}, 2)
+    yield from _small_unions()
+
+
+def test_cycle_determinant_matches_the_cycle_space_oracle():
+    # the corpus holds disconnected graphs whose automorphisms swap
+    # components, where the sign of the component permutation counts
+    disconnected = 0
+    for graph in _cycle_corpus():
+        basis = _cycle_space(graph)
+        line = Det.line(graph)
+        assert line.degree == -len(basis)
+        disconnected += not graph.is_connected()
+        for vmap, fmap in G.automorphisms(graph):
+            assert line.char(vmap, fmap) == _cycle_char(basis, fmap), \
+                (graph, vmap)
+    assert disconnected
 
 
 def banana(k):
@@ -331,8 +381,7 @@ def banana(k):
 def test_cycle_determinant_is_the_sign_of_the_edge_permutation(k):
     # H1 of k parallel edges is the standard representation of S_k, whose
     # determinant is the sign; swapping the two vertices reverses every
-    # edge, which is -1 on H1 of dimension k - 1.  An automorphism moving
-    # the first cycle off its leading edge makes `_det_sign` swap rows.
+    # edge, which is -1 on H1 of dimension k - 1.
     line = Det.line(banana(k))
     auts = G.automorphisms(banana(k))
     assert len(auts) == 2 * math.factorial(k)
